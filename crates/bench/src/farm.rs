@@ -201,9 +201,13 @@ impl Farm {
                 let stolen = &stolen;
                 s.spawn(move || loop {
                     // Own queue first (front), then steal from the back of
-                    // the most distant peer onward.
+                    // the most distant peer onward. The own-queue guard is
+                    // dropped before any peer is locked: two idle workers
+                    // each holding their own lock while locking the
+                    // other's would deadlock.
                     let mut stole = false;
-                    let next = queues[w].lock().unwrap().pop_front().or_else(|| {
+                    let own = queues[w].lock().unwrap().pop_front();
+                    let next = own.or_else(|| {
                         stole = true;
                         (1..workers)
                             .find_map(|d| queues[(w + d) % workers].lock().unwrap().pop_back())

@@ -21,11 +21,22 @@
 //! long-latency load, the machine switches to another ready context for a
 //! small penalty.
 //!
+//! Every fact the issue logic needs about a packet is static: its width,
+//! each slot's latency class and use/def register indices, slot 0's memory
+//! operation, and its control kind. [`CpuCore`] decodes its program once
+//! into a per-packet table when it is built, and each step reads that
+//! entry instead of re-deriving the facts from the instructions, which are
+//! only consulted to execute them. [`Program::index_of`] is a dense-table
+//! lookup, so fetching the next packet costs no search.
+//!
 //! The pipeline state lives in [`CpuCore`], which talks to *any* memory
-//! system through the [`MemPort`] transaction interface — the core never
-//! owns the memory. [`CycleSim`] is the standalone pairing of one core with
-//! an owned port; the SoC instead owns two cores plus the shared `ChipMem`
-//! and lends each core a port view during its step.
+//! system through the [`MemPort`] interface — the core never owns the
+//! memory. Instruction lines come from a direct [`MemPort::fetch_line`]
+//! call (an I-fetch is never rejected, never faults and never completes
+//! out of order); only the LSU's data accesses are tagged transactions.
+//! [`CycleSim`] is the standalone pairing of one core with an owned port;
+//! the SoC instead owns two cores plus the shared `ChipMem` and lends each
+//! core a port view during its step.
 //!
 //! Observability: the core is generic over a [`TraceSink`] (default
 //! [`NullSink`], which compiles the instrumentation away). Each issue gap
@@ -38,8 +49,8 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use majc_isa::{Instr, LatClass, Packet, Program, NUM_REGS};
-use majc_mem::{DKind, DPolicy};
+use majc_isa::{Instr, LatClass, Packet, Program, RegList, MAX_SLOTS, NUM_REGS};
+use majc_mem::DPolicy;
 
 use crate::config::{TimingConfig, TrapPolicy};
 use crate::events::{Event, NullSink, PacketStalls, RedirectKind, StallReason, TraceSink};
@@ -50,7 +61,7 @@ use crate::regfile::{RegFile, WriteSet};
 use crate::stats::CycleStats;
 use crate::trace::TraceRec;
 use crate::trap::{SimError, TrapRegs};
-use crate::txn::{Completion, MemPort, MemReq, ReqPort, Tag};
+use crate::txn::MemPort;
 
 /// One hardware context (micro-thread).
 struct Ctx {
@@ -83,6 +94,85 @@ impl Ctx {
     }
 }
 
+/// Slot 0's memory operation, by what the LSU and the counters do with it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum MemOp {
+    None,
+    /// `ld`, `cas`, `swap`: counted as loads.
+    Load,
+    /// `st`, `cst`.
+    Store,
+    Prefetch,
+    Membar,
+}
+
+/// Slot 0's control transfer, by how the front end redirects on it.
+#[derive(Clone, Copy)]
+enum Ctrl {
+    /// No redirect (no control instruction, or `halt`).
+    None,
+    /// Conditional branch, predicted by gshare with its static hint.
+    Br { hint: bool },
+    /// Target known at decode: taken bubble only.
+    Call,
+    /// Register-indirect: resolves in execute.
+    Jmpl,
+    /// Trap-register indirect: resolves in the trap stage.
+    Rte,
+}
+
+/// One slot's static issue facts.
+#[derive(Clone, Copy)]
+struct SlotDecode {
+    class: LatClass,
+    uses: RegList,
+    defs: RegList,
+}
+
+/// Everything the issue logic needs to know about one packet that is
+/// fixed when the program loads (paper §3.2: every latency but the
+/// scoreboarded ones is compiler-visible). Decoded once per core, indexed
+/// like [`Program::packets`].
+#[derive(Clone, Copy)]
+struct Decoded {
+    width: u8,
+    mem: MemOp,
+    ctrl: Ctrl,
+    slots: [SlotDecode; MAX_SLOTS],
+}
+
+impl Decoded {
+    fn new(pkt: &Packet) -> Decoded {
+        let slot =
+            |ins: &Instr| SlotDecode { class: ins.lat_class(), uses: ins.uses(), defs: ins.defs() };
+        let mut slots = [slot(&Instr::Nop); MAX_SLOTS];
+        for (fu, ins) in pkt.slots() {
+            slots[fu as usize] = slot(ins);
+        }
+        let mem = match pkt.slot(0) {
+            Some(Instr::Ld { .. } | Instr::Cas { .. } | Instr::Swap { .. }) => MemOp::Load,
+            Some(Instr::St { .. } | Instr::CSt { .. }) => MemOp::Store,
+            Some(Instr::Prefetch { .. }) => MemOp::Prefetch,
+            Some(Instr::Membar) => MemOp::Membar,
+            _ => MemOp::None,
+        };
+        let ctrl = match pkt.control() {
+            Some(&Instr::Br { hint, .. }) => Ctrl::Br { hint },
+            Some(Instr::Call { .. }) => Ctrl::Call,
+            Some(Instr::Jmpl { .. }) => Ctrl::Jmpl,
+            Some(Instr::Rte) => Ctrl::Rte,
+            _ => Ctrl::None,
+        };
+        Decoded { width: pkt.width() as u8, mem, ctrl, slots }
+    }
+
+    /// The occupied slots, in FU order.
+    #[inline]
+    fn slots(&self) -> &[SlotDecode] {
+        &self.slots[..self.width as usize]
+    }
+}
+
 /// The pipeline state of one CPU, independent of any memory system.
 ///
 /// Every stepping method takes the memory port as an argument, so a core
@@ -92,6 +182,8 @@ impl Ctx {
 pub struct CpuCore<S: TraceSink = NullSink> {
     cfg: TimingConfig,
     prog: Arc<Program>,
+    /// `prog` decoded once: one entry per packet.
+    decoded: Vec<Decoded>,
     /// Which D-cache port this CPU drives (0 or 1).
     cpu: usize,
     contexts: Vec<Ctx>,
@@ -103,9 +195,6 @@ pub struct CpuCore<S: TraceSink = NullSink> {
     /// Double-precision initiation interval per FU.
     dbl_free: [u64; 4],
     last_issue: u64,
-    /// Next instruction-fetch transaction tag. Counts up from zero; the
-    /// LSU's tags start at `1 << 63`, so the spaces never collide.
-    next_tag: u64,
     pub stats: CycleStats,
     /// When set, every issued packet is recorded.
     pub trace: Option<Vec<TraceRec>>,
@@ -134,18 +223,19 @@ impl<S: TraceSink> CpuCore<S> {
         let prog = prog.into();
         let n = cfg.threading.contexts.max(1);
         let contexts = (0..n).map(|_| Ctx::new(prog.base(), cfg.front_latency)).collect();
+        let decoded = prog.packets().iter().map(Decoded::new).collect();
         CpuCore {
             lsu: Lsu::new(cfg.load_buf, cfg.store_buf),
             gshare: Gshare::new(cfg.predictor),
             cfg,
             prog,
+            decoded,
             cpu,
             contexts,
             active: 0,
             fu0_free: 0,
             dbl_free: [0; 4],
             last_issue: 0,
-            next_tag: 0,
             stats: CycleStats::default(),
             trace: None,
             sink,
@@ -244,40 +334,12 @@ impl<S: TraceSink> CpuCore<S> {
         self.stats.mem = m;
     }
 
-    /// Fetch the 32-byte instruction line at `line`: one tagged transaction
-    /// on the port's instruction side. Never rejected, never faults (parity
-    /// recovery is internal to the I-cache).
+    /// Fetch the 32-byte instruction line at `line`: a direct call on the
+    /// port, which never rejects or faults an instruction fetch.
     fn ifetch(&mut self, port: &mut dyn MemPort, at: u64, line: u32) -> u64 {
-        let tag = Tag(self.next_tag);
-        self.next_tag += 1;
-        let req = MemReq {
-            cpu: self.cpu as u8,
-            port: ReqPort::Instr,
-            addr: line,
-            kind: DKind::Load,
-            policy: DPolicy::Cached,
-            tag,
-        };
-        port.submit(at, req).expect("instruction fetches are never rejected");
-        loop {
-            let resp = port.pop_resp(self.cpu).expect("accepted fetch must produce a response");
-            if resp.tag == tag {
-                match resp.completion {
-                    Completion::Done { at: done } => {
-                        self.sink.emit(&Event::Fetch {
-                            cpu: self.cpu as u8,
-                            line,
-                            at,
-                            done,
-                            served: resp.served,
-                        });
-                        return done;
-                    }
-                    Completion::Fault => unreachable!("instruction fetch cannot fault"),
-                }
-            }
-            debug_assert_eq!(resp.kind, DKind::Prefetch, "only prefetch replies go unclaimed");
-        }
+        let (done, served) = port.fetch_line(at, self.cpu, line);
+        self.sink.emit(&Event::Fetch { cpu: self.cpu as u8, line, at, done, served });
+        done
     }
 
     /// Pick the context to issue from: stay on the active one unless it is
@@ -369,13 +431,14 @@ impl<S: TraceSink> CpuCore<S> {
             self.active = ci;
 
             let pc = self.contexts[ci].pc;
-            let Some(&pkt) = self.prog.fetch(pc) else {
+            let Some(idx) = self.prog.index_of(pc) else {
                 let t0 = self.contexts[ci].ready;
                 self.deliver(ci, Trap::BadPc { pc, target: pc }, pc, pc, t0)?;
                 self.note_squash(ci, pc, t0);
                 return Ok(!self.halted());
             };
-            let pkt_bytes = pkt.len_bytes();
+            let Decoded { width, mem: mem_op, ctrl, .. } = self.decoded[idx];
+            let pkt_bytes = width as u32 * 4;
 
             // The issue gap this packet inherits from how its context's
             // readiness was set (redirect penalty, trap refill, barrier,
@@ -407,14 +470,15 @@ impl<S: TraceSink> CpuCore<S> {
             let mut t = after_fetch;
             let mut t_best = after_fetch;
             let mut slot_wait = [0u32; 4];
-            for (fu, ins) in pkt.slots() {
+            let avail = &self.contexts[ci].avail;
+            for (fu, slot) in self.decoded[idx].slots().iter().enumerate() {
                 let mut slot_ready = after_fetch;
-                for r in ins.uses().iter() {
-                    let avail = &self.contexts[ci].avail[r.index()];
-                    slot_ready = slot_ready.max(avail[fu as usize]);
-                    t_best = t_best.max(*avail.iter().min().expect("4 FU views"));
+                for &r in slot.uses.indices() {
+                    let views = &avail[r as usize];
+                    slot_ready = slot_ready.max(views[fu]);
+                    t_best = t_best.max(*views.iter().min().expect("4 FU views"));
                 }
-                slot_wait[fu as usize] = (slot_ready - after_fetch) as u32;
+                slot_wait[fu] = (slot_ready - after_fetch) as u32;
                 t = t.max(slot_ready);
             }
             let operand_wait = t - after_fetch;
@@ -441,10 +505,10 @@ impl<S: TraceSink> CpuCore<S> {
 
             // ---- structural hazards ----
             let before_fu = t;
-            for (fu, ins) in pkt.slots() {
-                match ins.lat_class() {
+            for (fu, slot) in self.decoded[idx].slots().iter().enumerate() {
+                match slot.class {
                     LatClass::IDiv => t = t.max(self.fu0_free),
-                    LatClass::FpDouble => t = t.max(self.dbl_free[fu as usize]),
+                    LatClass::FpDouble => t = t.max(self.dbl_free[fu]),
                     _ => {}
                 }
             }
@@ -452,10 +516,10 @@ impl<S: TraceSink> CpuCore<S> {
             self.stats.stall_by_reason[StallReason::FuStructural.idx()] += fu_wait;
 
             // ---- memory operation (slot 0 only) ----
-            let mem_ins = pkt.slot(0).filter(|i| i.is_mem()).copied();
             let mut load_avail: Option<u64> = None;
             let mut mem_wait = 0u64;
-            if let Some(ins) = mem_ins {
+            if mem_op != MemOp::None {
+                let ins = *self.prog.packets()[idx].slot(0).expect("memory ops sit in slot 0");
                 let before = t;
                 match self.issue_mem(port, ci, &ins, pc, &mut t) {
                     Ok(v) => load_avail = v,
@@ -482,7 +546,7 @@ impl<S: TraceSink> CpuCore<S> {
             {
                 let ctx = &mut self.contexts[ci];
                 let mem = port.mem();
-                for (_fu, ins) in pkt.slots() {
+                for (_fu, ins) in self.prog.packets()[idx].slots() {
                     match exec_slot(ins, &ctx.regs, &mut ws, mem, pc, pkt_bytes) {
                         Ok(out) => {
                             if let Some(f) = out.flow {
@@ -512,23 +576,24 @@ impl<S: TraceSink> CpuCore<S> {
             }
 
             // ---- scoreboard update ----
-            for (fu, ins) in pkt.slots() {
-                let class = ins.lat_class();
+            let avail = &mut self.contexts[ci].avail;
+            for (fu, slot) in self.decoded[idx].slots().iter().enumerate() {
+                let class = slot.class;
                 let lat = self.cfg.latency(class);
                 match class {
                     LatClass::IDiv => self.fu0_free = t + self.cfg.idiv_lat,
-                    LatClass::FpDouble => self.dbl_free[fu as usize] = t + self.cfg.dbl_ii,
+                    LatClass::FpDouble => self.dbl_free[fu] = t + self.cfg.dbl_ii,
                     _ => {}
                 }
-                for d in ins.defs().iter() {
+                for &d in slot.defs.indices() {
                     for cfu in 0..4u8 {
                         let ready = match class {
                             // Loads/atomics: data returns through the LSU,
                             // same for every consumer.
                             LatClass::Load => load_avail.unwrap_or(t + lat),
-                            _ => t + lat + self.cfg.xfu_delay(fu, cfu),
+                            _ => t + lat + self.cfg.xfu_delay(fu as u8, cfu),
                         };
-                        self.contexts[ci].avail[d.index()][cfu as usize] = ready;
+                        avail[d as usize][cfu as usize] = ready;
                     }
                 }
             }
@@ -536,41 +601,35 @@ impl<S: TraceSink> CpuCore<S> {
             // ---- control flow & next-issue readiness ----
             let mut next_ready = t + 1;
             let mut redirect: Option<RedirectKind> = None;
-            if let Some(ctrl) = pkt.control() {
-                match *ctrl {
-                    Instr::Br { hint, .. } => {
-                        let taken = matches!(flow, Flow::Taken(_));
-                        let pred = self.gshare.predict(pc, hint);
-                        self.gshare.update(pc, taken, pred);
-                        if pred == taken {
-                            next_ready = t + 1 + if taken { self.cfg.taken_bubble } else { 0 };
-                            if taken {
-                                redirect = Some(RedirectKind::TakenBranch);
-                            }
-                        } else {
-                            self.stats.mispredicts += 1;
-                            next_ready = t + 1 + self.cfg.mispredict_penalty;
-                            redirect = Some(RedirectKind::Mispredict);
+            match ctrl {
+                Ctrl::Br { hint } => {
+                    let taken = matches!(flow, Flow::Taken(_));
+                    let pred = self.gshare.predict(pc, hint);
+                    self.gshare.update(pc, taken, pred);
+                    if pred == taken {
+                        next_ready = t + 1 + if taken { self.cfg.taken_bubble } else { 0 };
+                        if taken {
+                            redirect = Some(RedirectKind::TakenBranch);
                         }
-                    }
-                    // Target known at decode: redirect bubble only.
-                    Instr::Call { .. } => {
-                        next_ready = t + 1 + self.cfg.taken_bubble;
-                        redirect = Some(RedirectKind::Call);
-                    }
-                    // Register-indirect: resolves in execute.
-                    Instr::Jmpl { .. } => {
+                    } else {
+                        self.stats.mispredicts += 1;
                         next_ready = t + 1 + self.cfg.mispredict_penalty;
-                        redirect = Some(RedirectKind::Jmpl);
+                        redirect = Some(RedirectKind::Mispredict);
                     }
-                    // Trap-register indirect: resolves in the trap stage.
-                    Instr::Rte => {
-                        next_ready = t + 1 + self.cfg.mispredict_penalty;
-                        redirect = Some(RedirectKind::Rte);
-                    }
-                    Instr::Halt => {}
-                    _ => {}
                 }
+                Ctrl::Call => {
+                    next_ready = t + 1 + self.cfg.taken_bubble;
+                    redirect = Some(RedirectKind::Call);
+                }
+                Ctrl::Jmpl => {
+                    next_ready = t + 1 + self.cfg.mispredict_penalty;
+                    redirect = Some(RedirectKind::Jmpl);
+                }
+                Ctrl::Rte => {
+                    next_ready = t + 1 + self.cfg.mispredict_penalty;
+                    redirect = Some(RedirectKind::Rte);
+                }
+                Ctrl::None => {}
             }
             let mut next_cause: Option<StallReason> = None;
             if let Some(kind) = redirect {
@@ -587,7 +646,7 @@ impl<S: TraceSink> CpuCore<S> {
                     penalty,
                 });
             }
-            if matches!(mem_ins, Some(Instr::Membar)) {
+            if mem_op == MemOp::Membar {
                 let quiesce = self.lsu.quiesce_time();
                 if quiesce > next_ready {
                     next_ready = quiesce;
@@ -624,9 +683,14 @@ impl<S: TraceSink> CpuCore<S> {
             self.last_issue = t;
             self.stats.cycles = t + 1;
             self.stats.packets += 1;
-            self.stats.instrs += pkt.width() as u64;
-            self.stats.width_hist[pkt.width() - 1] += 1;
-            count_mem(&pkt, &mut self.stats);
+            self.stats.instrs += width as u64;
+            self.stats.width_hist[width as usize - 1] += 1;
+            match mem_op {
+                MemOp::Load => self.stats.loads += 1,
+                MemOp::Store => self.stats.stores += 1,
+                MemOp::Prefetch => self.stats.prefetches += 1,
+                MemOp::Membar | MemOp::None => {}
+            }
             self.stats.branch = self.gshare.stats;
             if pre > 0 {
                 if let Some(cause) = pre_cause {
@@ -652,7 +716,7 @@ impl<S: TraceSink> CpuCore<S> {
                 ctx: ci as u8,
                 pc,
                 at: t,
-                width: pkt.width() as u8,
+                width,
                 stalls,
             });
             debug_assert!(
@@ -664,7 +728,7 @@ impl<S: TraceSink> CpuCore<S> {
                     ctx: ci as u8,
                     pc,
                     issue: t,
-                    width: pkt.width() as u8,
+                    width,
                     operand_wait: operand_wait as u32,
                 });
             }
@@ -830,17 +894,6 @@ impl<P: MemPort, S: TraceSink> DerefMut for CycleSim<P, S> {
 /// declared hung (a retry always advances time, so a correct program never
 /// gets near this).
 const RETRY_BOUND: u32 = 1_000_000;
-
-fn count_mem(pkt: &Packet, stats: &mut CycleStats) {
-    if let Some(ins) = pkt.slot(0) {
-        match ins {
-            Instr::Ld { .. } | Instr::Cas { .. } | Instr::Swap { .. } => stats.loads += 1,
-            Instr::St { .. } | Instr::CSt { .. } => stats.stores += 1,
-            Instr::Prefetch { .. } => stats.prefetches += 1,
-            _ => {}
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -55,7 +55,7 @@ pub use snapshot::{CpuSnap, CPU_SNAP_BYTES};
 pub use stats::CycleStats;
 pub use trace::{render as render_trace, TraceRec};
 pub use trap::{SimError, TrapRegs};
-pub use txn::{Completion, MemLevelStats, MemPort, MemReq, MemResp, Reject, ReqPort, Tag};
+pub use txn::{Completion, MemLevelStats, MemPort, MemReq, MemResp, Reject, Tag};
 pub use xlate::{
     global_xlate_cache, program_digest, Translation, XlateCache, XlateCacheStats, XlateSim,
     XLATE_CACHE_CAP,

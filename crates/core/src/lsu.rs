@@ -23,12 +23,11 @@
 use majc_mem::{DKind, DPolicy};
 
 use crate::events::{Event, RetryReason, TraceSink};
-use crate::txn::{MemPort, MemReq, MemResp, Reject, ReqPort, Tag};
+use crate::txn::{MemPort, MemReq, MemResp, Reject, Tag};
 
-/// Base of the LSU's tag space. Instruction-fetch tags count up from zero
-/// (see `CpuCore`), LSU tags from here — the two never collide, so one
-/// response queue per CPU serves both ports.
-pub(crate) const LSU_TAG_BASE: u64 = 1 << 63;
+/// First LSU transaction tag. The LSU is the only issuer of tags, so any
+/// base would do; this one keeps the tags in recorded traces stable.
+const LSU_TAG_BASE: u64 = 1 << 63;
 
 /// LSU counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -136,7 +135,7 @@ impl Lsu {
     }
 
     fn data_req(&mut self, cpu: usize, addr: u32, kind: DKind, policy: DPolicy) -> MemReq {
-        MemReq { cpu: cpu as u8, port: ReqPort::Data, addr, kind, policy, tag: self.fresh_tag() }
+        MemReq { cpu: cpu as u8, addr, kind, policy, tag: self.fresh_tag() }
     }
 
     /// Issue a load at cycle `t`. Returns the cycle its data is available.

@@ -14,7 +14,7 @@ use majc_mem::{
 };
 
 use crate::events::Event;
-use crate::txn::{Completion, MemLevelStats, MemPort, MemReq, MemResp, Reject, ReqPort};
+use crate::txn::{Completion, MemLevelStats, MemPort, MemReq, MemResp, Reject};
 
 /// Backend selection for the standalone memory system.
 ///
@@ -156,24 +156,17 @@ impl MemPort for LocalMemSys {
         &mut self.mem
     }
 
+    fn fetch_line(&mut self, now: u64, _cpu: usize, line: u32) -> (u64, Served) {
+        self.icache.fetch(now, line, &mut self.backend)
+    }
+
     fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject> {
-        let (completion, served) = match req.port {
-            ReqPort::Instr => {
-                let hits_before = self.icache.stats().hits;
-                let at = self.icache.fetch(now, req.addr, &mut self.backend);
-                let served =
-                    if self.icache.stats().hits > hits_before { Served::Hit } else { Served::Miss };
-                (Completion::Done { at }, served)
-            }
-            ReqPort::Data => {
-                match self.dcache.access(now, 0, req.addr, req.kind, req.policy, &mut self.backend)
-                {
-                    Ok(at) => (Completion::Done { at }, self.dcache.last_served),
-                    Err(DStall::MshrFull) => return Err(Reject { retry_at: now + 1 }),
-                    Err(DStall::DataError) => (Completion::Fault, self.dcache.last_served),
-                }
-            }
-        };
+        let (completion, served) =
+            match self.dcache.access(now, 0, req.addr, req.kind, req.policy, &mut self.backend) {
+                Ok(at) => (Completion::Done { at }, self.dcache.last_served),
+                Err(DStall::MshrFull) => return Err(Reject { retry_at: now + 1 }),
+                Err(DStall::DataError) => (Completion::Fault, self.dcache.last_served),
+            };
         self.resp.push_back(MemResp {
             tag: req.tag,
             cpu: req.cpu,
@@ -242,14 +235,15 @@ impl MemPort for PerfectPort {
         &mut self.mem
     }
 
+    fn fetch_line(&mut self, now: u64, _cpu: usize, _line: u32) -> (u64, Served) {
+        (now, Served::Bypass)
+    }
+
     fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject> {
         use majc_mem::DKind;
-        let at = match req.port {
-            ReqPort::Instr => now,
-            ReqPort::Data => match req.kind {
-                DKind::Load | DKind::Atomic => now + self.load_use,
-                DKind::Store | DKind::Prefetch => now,
-            },
+        let at = match req.kind {
+            DKind::Load | DKind::Atomic => now + self.load_use,
+            DKind::Store | DKind::Prefetch => now,
         };
         self.resp.push_back(MemResp {
             tag: req.tag,
@@ -276,8 +270,8 @@ mod tests {
     use crate::txn::Tag;
     use majc_mem::{DKind, DPolicy};
 
-    fn req(port: ReqPort, addr: u32, kind: DKind, tag: u64) -> MemReq {
-        MemReq { cpu: 0, port, addr, kind, policy: DPolicy::Cached, tag: Tag(tag) }
+    fn req(addr: u32, kind: DKind, tag: u64) -> MemReq {
+        MemReq { cpu: 0, addr, kind, policy: DPolicy::Cached, tag: Tag(tag) }
     }
 
     fn done(p: &mut dyn MemPort) -> u64 {
@@ -290,24 +284,23 @@ mod tests {
     #[test]
     fn local_memsys_routes_to_caches() {
         let mut m = LocalMemSys::majc5200();
-        m.submit(0, req(ReqPort::Instr, 0x100, DKind::Load, 1)).unwrap();
-        let t0 = done(&mut m);
-        assert!(t0 > 0, "cold I-cache misses");
-        m.submit(t0, req(ReqPort::Instr, 0x104, DKind::Load, 2)).unwrap();
-        assert_eq!(done(&mut m), t0, "same line hits");
+        let (t0, served) = m.fetch_line(0, 0, 0x100);
+        assert!(t0 > 0 && served == Served::Miss, "cold I-cache misses");
+        assert_eq!(m.fetch_line(t0, 0, 0x100), (t0, Served::Hit), "same line hits");
+        assert!(m.resp.is_empty(), "instruction fetches queue no response");
 
-        m.submit(0, req(ReqPort::Data, 0x2000, DKind::Load, 3)).unwrap();
+        m.submit(0, req(0x2000, DKind::Load, 3)).unwrap();
         let d0 = done(&mut m);
         assert!(d0 > 2);
-        m.submit(d0, req(ReqPort::Data, 0x2004, DKind::Load, 4)).unwrap();
+        m.submit(d0, req(0x2004, DKind::Load, 4)).unwrap();
         assert_eq!(done(&mut m), d0 + 2, "2-cycle load-to-use on a hit");
     }
 
     #[test]
     fn responses_carry_their_tags() {
         let mut m = LocalMemSys::majc5200();
-        m.submit(0, req(ReqPort::Data, 0x1000, DKind::Load, 7)).unwrap();
-        m.submit(0, req(ReqPort::Data, 0x2000, DKind::Load, 8)).unwrap();
+        m.submit(0, req(0x1000, DKind::Load, 7)).unwrap();
+        m.submit(0, req(0x2000, DKind::Load, 8)).unwrap();
         let a = m.pop_resp(0).unwrap();
         let b = m.pop_resp(0).unwrap();
         assert_eq!((a.tag, b.tag), (Tag(7), Tag(8)));
@@ -318,9 +311,9 @@ mod tests {
     fn mshr_exhaustion_rejects() {
         let mut m = LocalMemSys::majc5200();
         for i in 0..4u32 {
-            m.submit(0, req(ReqPort::Data, i * 0x1000, DKind::Load, i as u64)).unwrap();
+            m.submit(0, req(i * 0x1000, DKind::Load, i as u64)).unwrap();
         }
-        let e = m.submit(0, req(ReqPort::Data, 0x9000, DKind::Load, 9)).unwrap_err();
+        let e = m.submit(0, req(0x9000, DKind::Load, 9)).unwrap_err();
         assert_eq!(e, Reject { retry_at: 1 });
         assert_eq!(m.resp.len(), 4, "rejected requests produce no response");
     }
@@ -328,20 +321,19 @@ mod tests {
     #[test]
     fn perfect_port_is_flat() {
         let mut p = PerfectPort::new();
-        p.submit(5, req(ReqPort::Instr, 0xFFF0, DKind::Load, 1)).unwrap();
-        assert_eq!(done(&mut p), 5);
-        p.submit(5, req(ReqPort::Data, 0, DKind::Load, 2)).unwrap();
+        assert_eq!(p.fetch_line(5, 0, 0xFFE0), (5, Served::Bypass));
+        p.submit(5, req(0, DKind::Load, 2)).unwrap();
         assert_eq!(done(&mut p), 7);
-        p.submit(5, req(ReqPort::Data, 0, DKind::Store, 3)).unwrap();
+        p.submit(5, req(0, DKind::Store, 3)).unwrap();
         assert_eq!(done(&mut p), 5);
     }
 
     #[test]
     fn level_stats_track_the_hierarchy() {
         let mut m = LocalMemSys::majc5200();
-        m.submit(0, req(ReqPort::Data, 0x2000, DKind::Load, 1)).unwrap();
+        m.submit(0, req(0x2000, DKind::Load, 1)).unwrap();
         let t = done(&mut m);
-        m.submit(t + 1, req(ReqPort::Data, 0x2004, DKind::Load, 2)).unwrap();
+        m.submit(t + 1, req(0x2004, DKind::Load, 2)).unwrap();
         done(&mut m);
         let s = m.level_stats(0);
         assert_eq!((s.dcache_hits, s.dcache_misses), (1, 1));

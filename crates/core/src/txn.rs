@@ -1,12 +1,13 @@
 //! The memory-transaction layer between the CPU cores and the memory
 //! hierarchy.
 //!
-//! The core presents tagged requests ([`MemReq`]) on its port; the memory
-//! system answers with tagged responses ([`MemResp`]) that the LSU matches
-//! against its load/store buffers. The interface is a handshake, not a
-//! timestamp oracle: a port may *reject* a request for one cycle
-//! ([`Reject`], e.g. no free MSHR), and every accepted request produces
-//! exactly one response carrying the completion cycle — or a fault.
+//! The core's LSU presents tagged data requests ([`MemReq`]) on its port;
+//! the memory system answers with tagged responses ([`MemResp`]) that the
+//! LSU matches against its load/store buffers. The interface is a
+//! handshake, not a timestamp oracle: a port may *reject* a request for
+//! one cycle ([`Reject`], e.g. no free MSHR), and every accepted request
+//! produces exactly one response carrying the completion cycle — or a
+//! fault.
 //!
 //! Simulated time is logical (event-driven), so implementations resolve a
 //! request's completion cycle while it is being accepted rather than
@@ -14,34 +15,26 @@
 //! through the per-CPU response queue and is matched by tag, which is what
 //! preserves out-of-order miss returns and gives the SoC a seam to
 //! arbitrate its two D-cache ports (see `majc_soc::ChipMem`).
+//!
+//! Instruction fetch is not a transaction: an I-cache line fetch is never
+//! rejected, never faults and never completes out of order, so
+//! [`MemPort::fetch_line`] resolves it with a direct call.
 
 use majc_mem::{DKind, DPolicy, FlatMem, Served};
 
-/// Transaction identifier, unique per CPU. The instruction fetcher and the
-/// LSU draw from disjoint tag spaces (see [`crate::lsu::Lsu`]), so one
-/// response queue per CPU serves both ports.
+/// Transaction identifier, unique per CPU. Only the LSU issues
+/// transactions (see [`crate::lsu::Lsu`]), so one tag space and one
+/// response queue per CPU serve its data port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Tag(pub u64);
 
-/// Which of the CPU's two memory ports a request uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReqPort {
-    /// Instruction-line fetch (32-byte aligned, never rejected).
-    Instr,
-    /// The CPU's data-cache port (one access per cycle).
-    Data,
-}
-
-/// One memory request, as presented on a port.
+/// One data request, as presented on the CPU's data-cache port.
 #[derive(Clone, Copy, Debug)]
 pub struct MemReq {
     /// Requesting CPU (selects the D-cache port and the response queue).
     pub cpu: u8,
-    pub port: ReqPort,
     pub addr: u32,
-    /// Access kind; ignored for [`ReqPort::Instr`].
     pub kind: DKind,
-    /// Cacheability policy; ignored for [`ReqPort::Instr`].
     pub policy: DPolicy,
     pub tag: Tag,
 }
@@ -123,19 +116,24 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// What the pipeline needs from the memory system: architectural data and
-/// the request/response transaction interface.
+/// What the pipeline needs from the memory system: architectural data,
+/// instruction-line fetch, and the request/response data interface.
 ///
 /// Contract: `submit` either rejects (structural, retry later) or queues
 /// exactly one response retrievable via `pop_resp` for the request's CPU.
-/// Instruction fetches ([`ReqPort::Instr`]) are never rejected. Responses
-/// for one CPU arrive in completion order of the *port* (requests resolve
-/// as they are accepted), which is not program order when misses return
-/// out of order — the LSU matches by tag, never by position.
+/// Responses for one CPU arrive in completion order of the *port*
+/// (requests resolve as they are accepted), which is not program order
+/// when misses return out of order — the LSU matches by tag, never by
+/// position.
 pub trait MemPort {
     /// The architectural backing store.
     fn mem(&mut self) -> &mut FlatMem;
-    /// Present `req` on the port at cycle `now`.
+    /// Fetch the 32-byte instruction line at `line` for `cpu` at cycle
+    /// `now`: the cycle the line is available and the level that served
+    /// it. Never rejected and never faulting (I-cache parity recovery is
+    /// internal to the cache).
+    fn fetch_line(&mut self, now: u64, cpu: usize, line: u32) -> (u64, Served);
+    /// Present data request `req` on the port at cycle `now`.
     fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject>;
     /// Next pending response for `cpu`, if any.
     fn pop_resp(&mut self, cpu: usize) -> Option<MemResp>;

@@ -52,6 +52,13 @@ impl RegList {
         self.len == 0
     }
 
+    /// The listed registers as absolute indices in `0..224` (see
+    /// [`Reg::index`]), with no per-entry re-validation.
+    #[inline]
+    pub fn indices(&self) -> &[u8] {
+        &self.regs[..self.len as usize]
+    }
+
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
         self.regs[..self.len as usize].iter().map(|&i| Reg::from_index(i).unwrap())

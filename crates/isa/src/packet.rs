@@ -75,6 +75,10 @@ impl Packet {
     }
 }
 
+/// Marks an instruction word of [`Program`]'s dense index that does not
+/// start a packet (slots 1-3 of a wide packet).
+const NOT_A_PACKET: u32 = u32::MAX;
+
 /// A sequence of packets plus the byte address of each packet, forming a
 /// loaded program image. Packet addresses reflect the variable-length
 /// encoding: a packet of width `w` occupies `4*w` bytes.
@@ -82,6 +86,10 @@ impl Packet {
 pub struct Program {
     packets: Vec<Packet>,
     addrs: Vec<u32>,
+    /// Packet index of each 4-byte instruction word of the image, by
+    /// `(pc - base) / 4`; [`NOT_A_PACKET`] inside a wide packet. Makes
+    /// [`Program::index_of`] a bounds check and one load.
+    word_index: Vec<u32>,
     base: u32,
 }
 
@@ -89,12 +97,15 @@ impl Program {
     /// Lay out packets starting at byte address `base`.
     pub fn new(base: u32, packets: Vec<Packet>) -> Program {
         let mut addrs = Vec::with_capacity(packets.len());
+        let mut word_index = Vec::with_capacity(packets.len());
         let mut pc = base;
-        for p in &packets {
+        for (i, p) in packets.iter().enumerate() {
             addrs.push(pc);
             pc += p.len_bytes();
+            word_index.push(i as u32);
+            word_index.extend((1..p.width()).map(|_| NOT_A_PACKET));
         }
-        Program { packets, addrs, base }
+        Program { packets, addrs, word_index, base }
     }
 
     #[inline]
@@ -128,10 +139,18 @@ impl Program {
         self.addrs[idx]
     }
 
-    /// Index of the packet starting at byte address `pc`.
+    /// Index of the packet starting at byte address `pc`: `None` for a
+    /// misaligned `pc`, one inside a wide packet, or one outside the image.
     #[inline]
     pub fn index_of(&self, pc: u32) -> Option<usize> {
-        self.addrs.binary_search(&pc).ok()
+        let off = pc.wrapping_sub(self.base);
+        if !off.is_multiple_of(4) {
+            return None;
+        }
+        match self.word_index.get((off / 4) as usize) {
+            Some(&i) if i != NOT_A_PACKET => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// The packet starting at byte address `pc`.
@@ -189,5 +208,58 @@ mod tests {
         assert_eq!(prog.index_of(0x1004), Some(1));
         assert_eq!(prog.index_of(0x1006), None);
         assert!(prog.fetch(0x1010).is_some());
+    }
+
+    /// A program at a non-zero base: widths 1, 4, 2 at 0x2000, 0x2004, 0x2014.
+    fn mixed_widths() -> Program {
+        let p1 = Packet::new(&[alu(0)]).unwrap();
+        let p4 = Packet::new(&[alu(1), fma(2), fma(3), fma(4)]).unwrap();
+        let p2 = Packet::new(&[alu(5), fma(6)]).unwrap();
+        Program::new(0x2000, vec![p1, p4, p2])
+    }
+
+    #[test]
+    fn index_of_finds_every_packet_start() {
+        let prog = mixed_widths();
+        for i in 0..prog.len() {
+            assert_eq!(prog.index_of(prog.addr_of(i)), Some(i));
+        }
+        assert_eq!(prog.fetch(0x2004).map(Packet::width), Some(4));
+    }
+
+    #[test]
+    fn index_of_rejects_pcs_inside_a_wide_packet() {
+        let prog = mixed_widths();
+        for pc in [0x2008, 0x200C, 0x2010, 0x2018] {
+            assert_eq!(prog.index_of(pc), None, "{pc:#x} is inside a packet");
+            assert!(prog.fetch(pc).is_none());
+        }
+    }
+
+    #[test]
+    fn index_of_rejects_misaligned_pcs() {
+        let prog = mixed_widths();
+        for pc in [0x2001, 0x2002, 0x2003, 0x2005, 0x2015] {
+            assert_eq!(prog.index_of(pc), None, "{pc:#x} is misaligned");
+        }
+    }
+
+    #[test]
+    fn index_of_rejects_pcs_outside_the_image() {
+        let prog = mixed_widths();
+        let end = prog.base() + prog.len_bytes();
+        assert_eq!(end, 0x201C);
+        for pc in [0, 0x1FFC, 0x1FFF, end, end + 4, u32::MAX - 3, u32::MAX] {
+            assert_eq!(prog.index_of(pc), None, "{pc:#x} is outside the image");
+        }
+    }
+
+    #[test]
+    fn empty_program_has_no_packets() {
+        let prog = Program::default();
+        for pc in [0, 4, 0x1000, u32::MAX] {
+            assert_eq!(prog.index_of(pc), None);
+            assert!(prog.fetch(pc).is_none());
+        }
     }
 }

@@ -26,28 +26,33 @@ impl FlatMem {
     }
 
     /// Read `buf.len()` bytes starting at `addr` (zero-fill for untouched
-    /// memory). Wraps at the 4 GiB boundary like the 32-bit bus would.
+    /// memory, which stays unallocated). Wraps at the 4 GiB boundary like
+    /// the 32-bit bus would. One page lookup per page the range touches.
     pub fn read(&mut self, addr: u32, buf: &mut [u8]) {
         let mut a = addr;
-        for b in buf.iter_mut() {
-            let pn = a >> PAGE_SHIFT;
+        let mut rest = buf;
+        while !rest.is_empty() {
             let off = (a as usize) & (PAGE_SIZE - 1);
-            *b = match self.pages.get(&pn) {
-                Some(p) => p[off],
-                None => 0,
-            };
-            a = a.wrapping_add(1);
+            let (run, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE - off));
+            match self.pages.get(&(a >> PAGE_SHIFT)) {
+                Some(p) => run.copy_from_slice(&p[off..off + run.len()]),
+                None => run.fill(0),
+            }
+            a = a.wrapping_add(run.len() as u32);
+            rest = tail;
         }
     }
 
-    /// Write `buf` starting at `addr`.
+    /// Write `buf` starting at `addr`, one page lookup per page touched.
     pub fn write(&mut self, addr: u32, buf: &[u8]) {
         let mut a = addr;
-        for &b in buf {
-            let pn = a >> PAGE_SHIFT;
+        let mut rest = buf;
+        while !rest.is_empty() {
             let off = (a as usize) & (PAGE_SIZE - 1);
-            self.page(pn)[off] = b;
-            a = a.wrapping_add(1);
+            let (run, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            self.page(a >> PAGE_SHIFT)[off..off + run.len()].copy_from_slice(run);
+            a = a.wrapping_add(run.len() as u32);
+            rest = tail;
         }
     }
 
@@ -199,6 +204,25 @@ mod tests {
         m.write_u32(addr, 0x0102_0304);
         assert_eq!(m.read_u32(addr), 0x0102_0304);
         assert_eq!(m.pages_touched(), 2);
+    }
+
+    #[test]
+    fn multi_page_runs_round_trip_and_reads_allocate_nothing() {
+        let mut m = FlatMem::new();
+        let mut buf = vec![0xAAu8; 3 * PAGE_SIZE];
+        m.read(0x0003_0FF0, &mut buf);
+        assert!(buf.iter().all(|&b| b == 0), "absent pages read as zero");
+        assert_eq!(m.pages_touched(), 0, "reads never allocate");
+
+        let data: Vec<u8> = (0..2 * PAGE_SIZE + 40).map(|i| (i * 7 + 3) as u8).collect();
+        m.write(0x0003_0FF0, &data);
+        assert_eq!(m.pages_touched(), 4, "a run straddling four pages");
+        let mut back = vec![0u8; data.len()];
+        m.read(0x0003_0FF0, &mut back);
+        assert_eq!(back, data);
+        for (i, &b) in data.iter().enumerate().step_by(997) {
+            assert_eq!(m.read_u8(0x0003_0FF0 + i as u32), b, "byte {i}");
+        }
     }
 
     #[test]

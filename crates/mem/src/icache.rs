@@ -5,6 +5,7 @@
 //! (§3.2). The front end stalls on a miss, so a single outstanding fill
 //! suffices.
 
+use crate::dcache::Served;
 use crate::dram::MemBackend;
 use crate::fault::FaultInjector;
 use crate::tags::{CacheStats, TagArray, Victim};
@@ -62,8 +63,8 @@ impl ICache {
     }
 
     /// Fetch the 32-byte line containing `addr`; returns the cycle the
-    /// line is available to the aligner.
-    pub fn fetch(&mut self, now: u64, addr: u32, backend: &mut dyn MemBackend) -> u64 {
+    /// line is available to the aligner and whether it hit or missed.
+    pub fn fetch(&mut self, now: u64, addr: u32, backend: &mut dyn MemBackend) -> (u64, Served) {
         // Fault injection: a bit flip lands on the fetched line if it is
         // resident. Instruction lines are always clean, so a parity error
         // is recovered transparently by invalidate-and-refill.
@@ -76,7 +77,7 @@ impl ICache {
             self.tags.stats.parity_recoveries += 1;
         }
         if self.tags.access(addr, false) {
-            return now + self.cfg.hit_lat;
+            return (now + self.cfg.hit_lat, Served::Hit);
         }
         let line = self.tags.line_addr(addr);
         let done =
@@ -87,7 +88,7 @@ impl ICache {
         if let Victim::Dirty(victim) = self.tags.fill(line, false) {
             backend.backend_write(now + self.cfg.miss_overhead, victim, self.cfg.line_bytes as u32);
         }
-        done
+        (done, Served::Miss)
     }
 
     /// Cold-start the cache.
@@ -111,10 +112,11 @@ mod tests {
     fn hit_after_miss() {
         let mut ic = ICache::default();
         let mut p = PerfectMem { latency: 30 };
-        let t = ic.fetch(0, 0x1000, &mut p);
-        assert_eq!(t, 31);
-        let t = ic.fetch(t, 0x1010, &mut p); // same 32 B line
+        let (t, served) = ic.fetch(0, 0x1000, &mut p);
+        assert_eq!((t, served), (31, Served::Miss));
+        let (t, served) = ic.fetch(t, 0x1010, &mut p); // same 32 B line
         assert_eq!(t, 31, "hit is free beyond the pipeline fetch stage");
+        assert_eq!(served, Served::Hit);
         assert_eq!(ic.stats().hits, 1);
         assert_eq!(ic.stats().misses, 1);
     }
@@ -126,11 +128,11 @@ mod tests {
         let mut p = PerfectMem { latency: 30 };
         ic.fetch(0, 0x2000, &mut p);
         ic.fault = Some(FaultInjector::new(FaultSite::ICacheParity, 1, 1));
-        let t = ic.fetch(100, 0x2000, &mut p);
+        let (t, _) = ic.fetch(100, 0x2000, &mut p);
         assert_eq!(t, 131, "recovery pays a full refill");
         assert_eq!(ic.stats().parity_recoveries, 1);
         ic.fault = None;
-        let t = ic.fetch(t, 0x2000, &mut p);
+        let (t, _) = ic.fetch(t, 0x2000, &mut p);
         assert_eq!(t, 131, "refilled line hits again");
     }
 

@@ -59,6 +59,9 @@ pub struct TagArray {
     line_shift: u32,
     data: Vec<Way>,
     tick: u64,
+    /// Ways with `parity_bad` set. While it is zero — always, unless a
+    /// fault plan is armed — the parity check skips its scan.
+    poisoned: usize,
     pub stats: CacheStats,
 }
 
@@ -75,6 +78,7 @@ impl TagArray {
             line_shift: line_bytes.trailing_zeros(),
             data: vec![Way::default(); sets * ways],
             tick: 0,
+            poisoned: 0,
             stats: CacheStats::default(),
         }
     }
@@ -153,6 +157,8 @@ impl TagArray {
         let base = set * self.ways;
         // Prefer an invalid way.
         if let Some(w) = self.data[base..base + self.ways].iter_mut().find(|w| !w.valid) {
+            // An invalidated way may still carry a stale parity flag.
+            self.poisoned -= usize::from(w.parity_bad);
             *w = Way { tag, valid: true, dirty, parity_bad: false, stamp: tick };
             return Victim::None;
         }
@@ -172,6 +178,7 @@ impl TagArray {
             Victim::Clean(victim_addr)
         };
         self.stats.evictions += 1;
+        self.poisoned -= usize::from(w.parity_bad);
         *w = Way { tag, valid: true, dirty, parity_bad: false, stamp: tick };
         victim
     }
@@ -198,6 +205,7 @@ impl TagArray {
         let tag = self.tag_of(addr);
         for w in &mut self.data[set * self.ways..(set + 1) * self.ways] {
             if w.valid && w.tag == tag {
+                self.poisoned += usize::from(!w.parity_bad);
                 w.parity_bad = true;
                 return true;
             }
@@ -210,6 +218,9 @@ impl TagArray {
     /// a parity error was consumed — a dirty line's contents are lost, so
     /// callers must escalate that case.
     pub fn take_parity_error(&mut self, addr: u32) -> Option<bool> {
+        if self.poisoned == 0 {
+            return None;
+        }
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         for w in &mut self.data[set * self.ways..(set + 1) * self.ways] {
@@ -219,6 +230,7 @@ impl TagArray {
                 }
                 w.valid = false;
                 w.parity_bad = false;
+                self.poisoned -= 1;
                 return Some(w.dirty);
             }
         }
@@ -232,6 +244,7 @@ impl TagArray {
             w.dirty = false;
             w.parity_bad = false;
         }
+        self.poisoned = 0;
     }
 }
 
@@ -302,6 +315,30 @@ mod tests {
         // Refilling clears parity state.
         t.fill(0x200, false);
         assert_eq!(t.take_parity_error(0x200), None);
+    }
+
+    #[test]
+    fn poisoned_count_follows_every_parity_flag() {
+        let mut t = TagArray::new(64, 2, 32); // 1 set, 2 ways
+        t.fill(0, false);
+        t.fill(32, false);
+        assert!(t.poison(0) && t.poison(0), "a second flip on a bad line lands too");
+        assert_eq!(t.poisoned, 1, "one bad line, counted once");
+        // Invalidation keeps the stale flag; refilling the way clears it.
+        assert_eq!(t.invalidate(0), Some(false));
+        assert_eq!(t.poisoned, 1);
+        assert_eq!(t.take_parity_error(0), None, "invalid lines fail no parity check");
+        t.fill(64, false);
+        assert_eq!(t.poisoned, 0);
+        // Eviction of a bad line clears it as well.
+        assert!(t.poison(32));
+        t.fill(96, false);
+        t.fill(128, false);
+        assert!(!t.probe(32));
+        assert_eq!(t.poisoned, 0);
+        assert!(t.poison(96));
+        t.clear();
+        assert_eq!(t.poisoned, 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use majc_core::{
     Completion, CpuCore, CpuSnap, Event, MemLevelStats, MemPort, MemReq, MemResp, NullSink, Reject,
-    ReqPort, Served, SimError, TimingConfig, TraceSink,
+    Served, SimError, TimingConfig, TraceSink,
 };
 use majc_isa::Program;
 use majc_mem::{DCache, DKind, DStall, FaultEvent, FaultPlan, FaultSite, FlatMem, ICache};
@@ -148,63 +148,52 @@ impl ChipMem {
         }
     }
 
-    /// Accept one transaction (see [`MemPort::submit`] for the contract).
+    /// Fetch CPU `cpu`'s instruction line `line` through its own I-cache
+    /// (see [`MemPort::fetch_line`]).
+    pub fn fetch_line(&mut self, now: u64, cpu: usize, line: u32) -> (u64, Served) {
+        let cpu = cpu & 1;
+        let src = if cpu == 0 { Source::Cpu0I } else { Source::Cpu1I };
+        self.icaches[cpu].fetch(now, line, &mut Routed { xbar: &mut self.xbar, src })
+    }
+
+    /// Accept one data transaction (see [`MemPort::submit`] for the
+    /// contract).
     pub fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject> {
         let cpu = usize::from(req.cpu) & 1;
-        let served;
-        let completion = match req.port {
-            ReqPort::Instr => {
-                let src = if cpu == 0 { Source::Cpu0I } else { Source::Cpu1I };
-                let hits_before = self.icaches[cpu].stats().hits;
-                let at = self.icaches[cpu].fetch(
-                    now,
-                    req.addr,
-                    &mut Routed { xbar: &mut self.xbar, src },
-                );
-                served = if self.icaches[cpu].stats().hits > hits_before {
-                    Served::Hit
-                } else {
-                    Served::Miss
-                };
+        let write = matches!(req.kind, DKind::Store | DKind::Atomic);
+        let line = self.dcache.line_addr(req.addr);
+        // Prefetches are non-binding: they never contend for a port slot
+        // and never appear in the ledger.
+        let grant = if req.kind == DKind::Prefetch {
+            now
+        } else {
+            self.port_time[cpu] = self.port_time[cpu].max(now);
+            self.prune_ledger();
+            self.arbitrate(now, cpu, line, write)
+        };
+        let res = self.dcache.access(
+            grant,
+            cpu,
+            req.addr,
+            req.kind,
+            req.policy,
+            &mut Routed { xbar: &mut self.xbar, src: Source::CpuD },
+        );
+        let served = self.dcache.last_served;
+        let completion = match res {
+            Ok(at) => {
+                if req.kind != DKind::Prefetch {
+                    self.ledger.push_back((grant, cpu, line, write));
+                }
                 Completion::Done { at }
             }
-            ReqPort::Data => {
-                let write = matches!(req.kind, DKind::Store | DKind::Atomic);
-                let line = self.dcache.line_addr(req.addr);
-                // Prefetches are non-binding: they never contend for a
-                // port slot and never appear in the ledger.
-                let grant = if req.kind == DKind::Prefetch {
-                    now
-                } else {
-                    self.port_time[cpu] = self.port_time[cpu].max(now);
-                    self.prune_ledger();
-                    self.arbitrate(now, cpu, line, write)
-                };
-                let res = self.dcache.access(
-                    grant,
-                    cpu,
-                    req.addr,
-                    req.kind,
-                    req.policy,
-                    &mut Routed { xbar: &mut self.xbar, src: Source::CpuD },
-                );
-                served = self.dcache.last_served;
-                match res {
-                    Ok(at) => {
-                        if req.kind != DKind::Prefetch {
-                            self.ledger.push_back((grant, cpu, line, write));
-                        }
-                        Completion::Done { at }
-                    }
-                    // No response, no ledger entry: a rejected request
-                    // never occupied the port.
-                    Err(DStall::MshrFull) => return Err(Reject { retry_at: now + 1 }),
-                    Err(DStall::DataError) => {
-                        // The faulting access did occupy its port slot.
-                        self.ledger.push_back((grant, cpu, line, write));
-                        Completion::Fault
-                    }
-                }
+            // No response, no ledger entry: a rejected request never
+            // occupied the port.
+            Err(DStall::MshrFull) => return Err(Reject { retry_at: now + 1 }),
+            Err(DStall::DataError) => {
+                // The faulting access did occupy its port slot.
+                self.ledger.push_back((grant, cpu, line, write));
+                Completion::Fault
             }
         };
         self.resp[cpu].push_back(MemResp {
@@ -283,6 +272,10 @@ pub struct ChipPort<'a> {
 impl MemPort for ChipPort<'_> {
     fn mem(&mut self) -> &mut FlatMem {
         &mut self.chip.mem
+    }
+
+    fn fetch_line(&mut self, now: u64, cpu: usize, line: u32) -> (u64, Served) {
+        self.chip.fetch_line(now, cpu, line)
     }
 
     fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject> {
