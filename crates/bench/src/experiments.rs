@@ -840,7 +840,7 @@ pub const FARM_MASTER_SEED: u64 = 0xFA23_5EED;
 /// can run on any worker in any order.
 enum FarmScenario {
     /// Deterministic fault-injection soak of one suite kernel.
-    Soak(majc_kernels::suite::KernelCase),
+    Soak(majc_kernels::suite::SuiteCase),
     /// A shard of the differential fuzz stream: `count` seeded programs
     /// through the functional-vs-cycle comparison.
     Fuzz { count: usize },
@@ -1038,7 +1038,7 @@ pub fn farm(jobs: Option<usize>) -> Table {
 /// One scenario of the lint-fact validation batch: a suite kernel with
 /// its real workload, or a batch of differential-fuzz programs.
 enum LintScenario {
-    Kernel(majc_kernels::suite::KernelCase),
+    Kernel(majc_kernels::suite::SuiteCase),
     FuzzBatch { index: usize, count: usize },
 }
 
@@ -1530,7 +1530,7 @@ struct XlateKernelRec {
 
 /// Run one kernel to halt on both engines and assert bit-identity —
 /// counters and full architectural end state.
-fn xlate_kernel_rec(case: &majc_kernels::suite::KernelCase) -> XlateKernelRec {
+fn xlate_kernel_rec(case: &majc_kernels::suite::SuiteCase) -> XlateKernelRec {
     use majc_core::{FuncSim, XlateSim};
     use std::sync::Arc;
     const BUDGET: u64 = 200_000_000;
@@ -1607,7 +1607,7 @@ pub fn xlate(jobs: Option<usize>) -> Table {
 
     // Heavy (megacycle) kernels only run in release builds, like the rest
     // of the debug test surface.
-    let cases: Vec<majc_kernels::suite::KernelCase> = majc_kernels::suite::cases()
+    let cases: Vec<majc_kernels::suite::SuiteCase> = majc_kernels::suite::cases()
         .into_iter()
         .filter(|c| !(c.heavy && cfg!(debug_assertions)))
         .collect();

@@ -30,9 +30,6 @@ pub struct SuiteCase {
     pub check: Option<SelfCheck>,
 }
 
-/// The historical name for a suite entry, kept for older call sites.
-pub type KernelCase = SuiteCase;
-
 fn case(name: &str, (prog, mem): (Program, FlatMem), heavy: bool) -> SuiteCase {
     SuiteCase { name: name.to_string(), prog: Arc::new(prog), mem, heavy, check: None }
 }

@@ -21,15 +21,13 @@
 //!   sees it), so it clears this set — and program exit does too, because
 //!   the test harnesses read memory after `halt`.
 
-use majc_isa::{AluOp, Instr, Off, Program, Reg, Src, NUM_REGS};
+use majc_isa::{AluOp, Instr, Off, Program, Reg, Src};
 
-use crate::cfg::{Cfg, Edge};
+use crate::cfg::Cfg;
 use crate::diag::{Diag, Kind, Severity};
 use crate::engine::{solve, Dataflow, Dir};
 use crate::facts::{AccessKind, AddrBase, AddrFact, AliasClass};
 use crate::value::fold_exec;
-
-const REGS: usize = NUM_REGS as usize;
 
 /// Abstract address value of one register.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,6 +48,99 @@ fn join_sym(a: Sym, b: Sym) -> Sym {
     }
 }
 
+/// The abstract register file of symbolic addresses: a sorted map over a
+/// default. A register without an entry reads as its own entry value,
+/// `Ent(r, 0)`, until a synthetic entry (or a join with one) makes the
+/// default ⊤. No entry equals the default, so the representation is
+/// canonical.
+pub(crate) struct SymFact {
+    /// Unlisted registers read `Ent(r, 0)` when set, ⊤ when clear.
+    entry: bool,
+    map: Vec<(Reg, Sym)>,
+}
+
+impl Clone for SymFact {
+    fn clone(&self) -> SymFact {
+        SymFact { entry: self.entry, map: self.map.clone() }
+    }
+
+    fn clone_from(&mut self, src: &SymFact) {
+        self.entry = src.entry;
+        self.map.clone_from(&src.map);
+    }
+}
+
+impl SymFact {
+    /// The real entry: every register holds its entry value.
+    fn entry() -> SymFact {
+        SymFact { entry: true, map: Vec::new() }
+    }
+
+    /// Nothing known.
+    fn top() -> SymFact {
+        SymFact { entry: false, map: Vec::new() }
+    }
+
+    fn default_of(entry: bool, r: Reg) -> Sym {
+        if entry {
+            Sym::Ent(r.index() as u8, 0)
+        } else {
+            Sym::Top
+        }
+    }
+
+    fn get(&self, r: Reg) -> Sym {
+        match self.map.binary_search_by_key(&r, |e| e.0) {
+            Ok(i) => self.map[i].1,
+            Err(_) => SymFact::default_of(self.entry, r),
+        }
+    }
+
+    fn set(&mut self, r: Reg, v: Sym) {
+        let is_default = v == SymFact::default_of(self.entry, r);
+        match (self.map.binary_search_by_key(&r, |e| e.0), is_default) {
+            (Ok(i), true) => {
+                self.map.remove(i);
+            }
+            (Ok(i), false) => self.map[i].1 = v,
+            (Err(_), true) => {}
+            (Err(i), false) => self.map.insert(i, (r, v)),
+        }
+    }
+
+    /// Pointwise [`join_sym`] over the union of both maps; true if `self`
+    /// changed. Registers in neither map join the two defaults, which is
+    /// the new default.
+    fn join(&mut self, other: &SymFact) -> bool {
+        let entry = self.entry && other.entry;
+        let mut map = Vec::with_capacity(self.map.len().max(other.map.len()));
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let r = match (self.map.get(i), other.map.get(j)) {
+                (None, None) => break,
+                (Some(a), None) => a.0,
+                (None, Some(b)) => b.0,
+                (Some(a), Some(b)) => a.0.min(b.0),
+            };
+            let side = |f: &SymFact, k: &mut usize| match f.map.get(*k) {
+                Some(&(q, v)) if q == r => {
+                    *k += 1;
+                    v
+                }
+                _ => SymFact::default_of(f.entry, r),
+            };
+            let v = join_sym(side(self, &mut i), side(other, &mut j));
+            if v != SymFact::default_of(entry, r) {
+                map.push((r, v));
+            }
+        }
+        let changed = entry != self.entry || map != self.map;
+        self.entry = entry;
+        self.map = map;
+        changed
+    }
+}
+
 /// The symbolic-address dataflow: a flat lattice per register, so chains
 /// have height 2 and the fixpoint is quick even with edge refinement off.
 struct SymFlow<'a> {
@@ -57,45 +148,53 @@ struct SymFlow<'a> {
 }
 
 impl SymFlow<'_> {
-    fn eval_ins(&self, ins: &Instr, pc: u32, pkt_bytes: u32, fact: &[Sym]) -> Vec<(Reg, Sym)> {
-        let as_const = |r: Reg| match fact[r.index()] {
+    /// Abstract effect of one slot against the pre-packet fact, appended
+    /// to `out`.
+    fn eval_ins(
+        &self,
+        ins: &Instr,
+        pc: u32,
+        pkt_bytes: u32,
+        fact: &SymFact,
+        out: &mut Vec<(Reg, Sym)>,
+    ) {
+        let as_const = |r: Reg| match fact.get(r) {
             Sym::Abs(c) => Some(c as u32),
             _ => None,
         };
         if let Some(outs) = fold_exec(ins, pc, pkt_bytes, as_const) {
-            return outs.into_iter().map(|(r, v)| (r, Sym::Abs(v as i32))).collect();
+            out.extend(outs.into_iter().map(|(r, v)| (r, Sym::Abs(v as i32))));
+            return;
         }
         match *ins {
             Instr::Call { rd, .. } | Instr::Jmpl { rd, .. } => {
-                vec![(rd, Sym::Abs(pc.wrapping_add(pkt_bytes) as i32))]
+                out.push((rd, Sym::Abs(pc.wrapping_add(pkt_bytes) as i32)));
             }
-            Instr::CMove { rd, rs, .. } => {
-                vec![(rd, join_sym(fact[rd.index()], fact[rs.index()]))]
-            }
+            Instr::CMove { rd, rs, .. } => out.push((rd, join_sym(fact.get(rd), fact.get(rs)))),
             Instr::Pick { rd, rs1, rs2, .. } => {
-                vec![(rd, join_sym(fact[rs1.index()], fact[rs2.index()]))]
+                out.push((rd, join_sym(fact.get(rs1), fact.get(rs2))));
             }
             // Base ± constant keeps the symbolic base and folds the offset.
             Instr::Alu { op: AluOp::Add, rd, rs1, src2 } => {
-                vec![(rd, sym_add(fact, rs1, src2, false))]
+                out.push((rd, sym_add(fact, rs1, src2, false)));
             }
             Instr::Alu { op: AluOp::Sub, rd, rs1, src2 } => {
-                vec![(rd, sym_add(fact, rs1, src2, true))]
+                out.push((rd, sym_add(fact, rs1, src2, true)));
             }
-            _ => ins.defs().iter().map(|r| (r, Sym::Top)).collect(),
+            _ => out.extend(ins.defs().iter().map(|r| (r, Sym::Top))),
         }
     }
 }
 
-fn sym_add(fact: &[Sym], rs1: Reg, src2: Src, sub: bool) -> Sym {
+fn sym_add(fact: &SymFact, rs1: Reg, src2: Src, sub: bool) -> Sym {
     let b = match src2 {
         Src::Imm(i) => Some(i as i32),
-        Src::Reg(r) => match fact[r.index()] {
+        Src::Reg(r) => match fact.get(r) {
             Sym::Abs(c) => Some(c),
             _ => None,
         },
     };
-    let a = fact[rs1.index()];
+    let a = fact.get(rs1);
     match (a, b) {
         (Sym::Ent(e, c), Some(k)) => {
             Sym::Ent(e, if sub { c.wrapping_sub(k) } else { c.wrapping_add(k) })
@@ -107,50 +206,38 @@ fn sym_add(fact: &[Sym], rs1: Reg, src2: Src, sub: bool) -> Sym {
 }
 
 impl Dataflow for SymFlow<'_> {
-    type Fact = Vec<Sym>;
+    type Fact = SymFact;
 
     fn dir(&self) -> Dir {
         Dir::Forward
     }
 
-    fn boundary(&self) -> Vec<Sym> {
+    fn boundary(&self) -> SymFact {
         // At the real entry every register *is* its own entry value.
-        (0..REGS).map(|r| Sym::Ent(r as u8, 0)).collect()
+        SymFact::entry()
     }
 
-    fn synthetic_boundary(&self) -> Vec<Sym> {
+    fn synthetic_boundary(&self) -> SymFact {
         // A trap vector or indirect-jump target is entered mid-execution:
         // registers no longer hold their entry values there.
-        vec![Sym::Top; REGS]
+        SymFact::top()
     }
 
-    fn join(&self, into: &mut Vec<Sym>, other: &Vec<Sym>) -> bool {
-        let mut changed = false;
-        for (e, o) in into.iter_mut().zip(other) {
-            let j = join_sym(*e, *o);
-            if j != *e {
-                *e = j;
-                changed = true;
-            }
-        }
-        changed
+    fn join(&self, into: &mut SymFact, other: &SymFact) -> bool {
+        into.join(other)
     }
 
-    fn transfer(&self, node: usize, fact: &mut Vec<Sym>) {
+    fn transfer(&self, node: usize, fact: &mut SymFact) {
         let pkt = &self.prog.packets()[node];
         let pc = self.prog.addr_of(node);
         let pb = pkt.len_bytes();
         let mut writes: Vec<(Reg, Sym)> = Vec::new();
         for (_, ins) in pkt.slots() {
-            writes.extend(self.eval_ins(ins, pc, pb, fact));
+            self.eval_ins(ins, pc, pb, fact, &mut writes);
         }
         for (r, v) in writes {
-            fact[r.index()] = v;
+            fact.set(r, v);
         }
-    }
-
-    fn edge(&self, _from: usize, _to: usize, _edge: Edge, _fact: &mut Vec<Sym>) -> bool {
-        true
     }
 }
 
@@ -192,8 +279,8 @@ pub(crate) struct Access {
 }
 
 /// Resolve a base register + symbolic state into an address.
-fn loc_of(fact: &[Sym], base: Reg, off_bytes: i32, bytes: u32) -> Option<MemLoc> {
-    match fact[base.index()] {
+fn loc_of(fact: &SymFact, base: Reg, off_bytes: i32, bytes: u32) -> Option<MemLoc> {
+    match fact.get(base) {
         Sym::Ent(e, c) => Some(MemLoc {
             base: AddrBase::Entry(Reg::from_index(e)?),
             off: c.wrapping_add(off_bytes),
@@ -206,7 +293,7 @@ fn loc_of(fact: &[Sym], base: Reg, off_bytes: i32, bytes: u32) -> Option<MemLoc>
 
 /// Classify packet `i`'s memory access under the symbolic state at its
 /// entry. Prefetch and membar touch no architectural data: `None`.
-fn classify(prog: &Program, i: usize, fact: &[Sym]) -> Option<Access> {
+fn classify(prog: &Program, i: usize, fact: &SymFact) -> Option<Access> {
     for (slot, ins) in prog.packets()[i].slots() {
         let (kind, base, off, bytes) = match *ins {
             Instr::Ld { w, base, off, .. } => (AccessKind::Load, base, off, w.bytes()),
@@ -220,7 +307,7 @@ fn classify(prog: &Program, i: usize, fact: &[Sym]) -> Option<Access> {
         let loc = match off {
             Off::Imm(k) => loc_of(fact, base, k as i32, bytes),
             // Register offset: resolvable only when the index is absolute.
-            Off::Reg(r) => match fact[r.index()] {
+            Off::Reg(r) => match fact.get(r) {
                 Sym::Abs(k) => loc_of(fact, base, k, bytes),
                 _ => None,
             },
@@ -385,9 +472,9 @@ pub(crate) fn analyze_aliases(prog: &Program, cfg: &Cfg, entries: &[u32]) -> Opt
         return None;
     }
     let n = prog.len();
-    let top = vec![Sym::Top; REGS];
+    let top = SymFact::top();
     let accesses: Vec<Option<Access>> =
-        (0..n).map(|i| classify(prog, i, sym.facts[i].as_deref().unwrap_or(&top))).collect();
+        (0..n).map(|i| classify(prog, i, sym.facts[i].as_ref().unwrap_or(&top))).collect();
     let trap_free: Vec<bool> = (0..n).map(|i| !may_trap(prog, i, accesses[i].as_ref())).collect();
 
     let avail =
@@ -712,5 +799,65 @@ mod tests {
         assert_eq!(racy[0].kind, Kind::SharedRace);
         let clean = shared_race_check(&mk(false), &mk(false));
         assert!(clean.is_empty(), "load vs load never races");
+    }
+
+    /// Random resets (to the real or a synthetic entry), `set`s and `join`s
+    /// on the sparse fact and on a dense 224-register model: both must
+    /// read the same everywhere, agree on every join's "changed" flag, and
+    /// the sparse map must stay sorted with no entry equal to its default.
+    #[test]
+    fn sparse_fact_matches_a_dense_model() {
+        const N: usize = majc_isa::NUM_REGS as usize;
+        const POOL: [u8; 9] = [0, 1, 2, 63, 64, 95, 96, 191, 223];
+        let entry: [Sym; N] = std::array::from_fn(|r| Sym::Ent(r as u8, 0));
+        let mut rng = majc_isa::SplitMix64::new(0xA11A_5EED);
+        for _ in 0..200 {
+            let mut sparse = [SymFact::entry(), SymFact::top(), SymFact::entry()];
+            let mut dense = [entry, [Sym::Top; N], entry];
+            for _ in 0..40 {
+                let k = rng.index(3);
+                match rng.below(8) {
+                    0 => {
+                        let real = rng.flip();
+                        sparse[k] = if real { SymFact::entry() } else { SymFact::top() };
+                        dense[k] = if real { entry } else { [Sym::Top; N] };
+                    }
+                    1..=4 => {
+                        let r = *rng.pick(&POOL);
+                        let v = match rng.below(4) {
+                            0 => Sym::Top,
+                            // Often the register's own entry value: the default.
+                            1 => Sym::Ent(r, 0),
+                            2 => Sym::Ent(*rng.pick(&POOL), rng.range_i32(-1, 1)),
+                            _ => Sym::Abs(rng.range_i32(0, 2)),
+                        };
+                        sparse[k].set(Reg::from_index(r).unwrap(), v);
+                        dense[k][r as usize] = v;
+                    }
+                    _ => {
+                        let m = rng.index(3);
+                        let src = sparse[m].clone();
+                        let changed = sparse[k].join(&src);
+                        let other = dense[m];
+                        let mut dense_changed = false;
+                        for (a, b) in dense[k].iter_mut().zip(other) {
+                            let j = join_sym(*a, b);
+                            dense_changed |= j != *a;
+                            *a = j;
+                        }
+                        assert_eq!(changed, dense_changed, "join changed flag");
+                    }
+                }
+                let (s, d) = (&sparse[k], &dense[k]);
+                for (r, &v) in d.iter().enumerate() {
+                    assert_eq!(s.get(Reg::from_index(r as u8).unwrap()), v, "register {r}");
+                }
+                assert!(s.map.windows(2).all(|w| w[0].0 < w[1].0), "sorted, no duplicates");
+                assert!(
+                    s.map.iter().all(|&(r, v)| v != SymFact::default_of(s.entry, r)),
+                    "no entry equal to the default"
+                );
+            }
+        }
     }
 }

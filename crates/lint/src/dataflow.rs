@@ -53,6 +53,13 @@ impl RegSet {
         self.0[r / 64] & (1 << (r % 64)) != 0
     }
 
+    /// Remove every member of `other` in place.
+    pub(crate) fn subtract(&mut self, other: &RegSet) {
+        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
+            *a &= !b;
+        }
+    }
+
     /// Union in place; true if `self` grew.
     pub(crate) fn union(&mut self, other: &RegSet) -> bool {
         let mut changed = false;
@@ -126,12 +133,13 @@ pub(crate) fn check_packet_waw(prog: &Program, diags: &mut Vec<Diag>) -> Vec<(us
 
 /// May-be-undefined as an engine instance: the fact is the set of registers
 /// some entry path leaves unwritten; packets kill their strong defs.
-struct Undef<'a> {
-    prog: &'a Program,
+struct Undef {
+    /// Per packet: the registers it strongly defines.
+    kills: Vec<RegSet>,
     entry_undef: RegSet,
 }
 
-impl Dataflow for Undef<'_> {
+impl Dataflow for Undef {
     type Fact = RegSet;
 
     fn dir(&self) -> Dir {
@@ -149,12 +157,7 @@ impl Dataflow for Undef<'_> {
     }
 
     fn transfer(&self, node: usize, fact: &mut RegSet) {
-        let kills = strong_defs(&self.prog.packets()[node]);
-        for r in 0..NUM_REGS as usize {
-            if kills.contains(r) {
-                fact.remove(r);
-            }
-        }
+        fact.subtract(&self.kills[node]);
     }
 }
 
@@ -174,7 +177,8 @@ pub(crate) fn check_use_before_def(
     for r in entry_defined {
         entry_undef.remove(r.index());
     }
-    let sol = solve(prog, cfg, &[], &Undef { prog, entry_undef });
+    let kills = prog.packets().iter().map(strong_defs).collect();
+    let sol = solve(prog, cfg, &[], &Undef { kills, entry_undef });
 
     for (i, undef) in sol.facts.iter().enumerate() {
         let Some(undef) = undef else { continue };
@@ -210,10 +214,14 @@ pub(crate) fn check_dead_writes(
     if n == 0 {
         return Vec::new();
     }
-    // live_in per packet; exit packets see all registers live after them.
+    // Per packet, computed once: kill and gen sets, and whether it is an
+    // exit (all registers live after it).
+    let kill: Vec<RegSet> = prog.packets().iter().map(strong_defs).collect();
+    let gen: Vec<RegSet> = prog.packets().iter().map(uses).collect();
+    let exit: Vec<bool> = (0..n).map(|i| cfg.is_exit(i, prog)).collect();
     let mut live_in: Vec<RegSet> = vec![RegSet::default(); n];
     let transfer = |i: usize, live_in: &[RegSet]| -> RegSet {
-        let mut out = if cfg.is_exit(i, prog) {
+        let mut out = if exit[i] {
             RegSet::full()
         } else {
             let mut s = RegSet::default();
@@ -222,13 +230,8 @@ pub(crate) fn check_dead_writes(
             }
             s
         };
-        let kills = strong_defs(&prog.packets()[i]);
-        for r in 0..NUM_REGS as usize {
-            if kills.contains(r) {
-                out.remove(r);
-            }
-        }
-        out.union(&uses(&prog.packets()[i]));
+        out.subtract(&kill[i]);
+        out.union(&gen[i]);
         out
     };
 
@@ -249,8 +252,8 @@ pub(crate) fn check_dead_writes(
         }
     }
 
-    for i in 0..n {
-        if !cfg.reachable[i] || cfg.is_exit(i, prog) {
+    for (i, &is_exit) in exit.iter().enumerate() {
+        if !cfg.reachable[i] || is_exit {
             continue;
         }
         let mut live_out = RegSet::default();

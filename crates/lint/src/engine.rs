@@ -100,34 +100,30 @@ pub fn solve<A: Dataflow>(prog: &Program, cfg: &Cfg, entries: &[u32], a: &A) -> 
     }
 
     // Successor lists in the analysis direction.
-    let succs: Vec<Vec<(usize, Edge)>> = match a.dir() {
-        Dir::Forward => cfg.succs.clone(),
-        Dir::Backward => {
-            let mut preds: Vec<Vec<(usize, Edge)>> = vec![Vec::new(); n];
-            for (i, es) in cfg.succs.iter().enumerate() {
-                for &(s, e) in es {
-                    preds[s].push((i, e));
-                }
+    let mut preds: Vec<Vec<(usize, Edge)>> = Vec::new();
+    if a.dir() == Dir::Backward {
+        preds.resize_with(n, Vec::new);
+        for (i, es) in cfg.succs.iter().enumerate() {
+            for &(s, e) in es {
+                preds[s].push((i, e));
             }
-            preds
         }
-    };
+    }
+    let succs = if a.dir() == Dir::Forward { &cfg.succs } else { &preds };
 
-    let mut work: Vec<usize> = Vec::new();
-    let absorb =
-        |i: usize, f: &A::Fact, facts: &mut Vec<Option<A::Fact>>, work: &mut Vec<usize>| {
-            match &mut facts[i] {
-                Some(e) => {
-                    if a.join(e, f) && !work.contains(&i) {
-                        work.push(i);
-                    }
-                }
-                e @ None => {
-                    *e = Some(f.clone());
-                    work.push(i);
-                }
+    let mut work = Worklist { stack: Vec::new(), queued: vec![false; n] };
+    let absorb = |i: usize, f: &A::Fact, facts: &mut Vec<Option<A::Fact>>, work: &mut Worklist| {
+        let grew = match &mut facts[i] {
+            Some(e) => a.join(e, f),
+            e @ None => {
+                *e = Some(f.clone());
+                true
             }
         };
+        if grew {
+            work.push(i);
+        }
+    };
 
     // Seed the boundary.
     match a.dir() {
@@ -158,26 +154,68 @@ pub fn solve<A: Dataflow>(prog: &Program, cfg: &Cfg, entries: &[u32], a: &A) -> 
     }
 
     // Chaotic iteration. The backstop is defensive: a well-formed lattice
-    // converges long before it (see the module docs).
+    // converges long before it (see the module docs). `cur` and `out` are
+    // scratch facts reused across pops, so the loop copies facts without
+    // allocating once their buffers have grown.
     let mut iterations = 0usize;
     let mut converged = true;
+    let mut cur: Option<A::Fact> = None;
+    let mut out: Option<A::Fact> = None;
     while let Some(i) = work.pop() {
         iterations += 1;
         if iterations > n.saturating_mul(4096) {
             converged = false;
             break;
         }
-        let Some(mut f) = facts[i].clone() else { continue };
-        a.transfer(i, &mut f);
+        let Some(fi) = &facts[i] else { continue };
+        let f = copy_into(&mut cur, fi);
+        a.transfer(i, f);
         for &(s, e) in &succs[i] {
-            let mut g = f.clone();
-            if a.edge(i, s, e, &mut g) {
-                absorb(s, &g, &mut facts, &mut work);
+            let g = copy_into(&mut out, f);
+            if a.edge(i, s, e, g) {
+                absorb(s, g, &mut facts, &mut work);
             }
         }
     }
 
     Solution { facts, converged }
+}
+
+/// The LIFO worklist, with a flag per packet saying whether it is on the
+/// stack: a packet whose fact grows again while it waits is not pushed
+/// twice, and the test is O(1). The visit order is part of the result:
+/// widening joins (value ranges) can settle on a different fixpoint
+/// under a different order.
+struct Worklist {
+    stack: Vec<usize>,
+    queued: Vec<bool>,
+}
+
+impl Worklist {
+    fn push(&mut self, i: usize) {
+        if !self.queued[i] {
+            self.queued[i] = true;
+            self.stack.push(i);
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let i = self.stack.pop()?;
+        self.queued[i] = false;
+        Some(i)
+    }
+}
+
+/// `src` copied into the scratch slot, reusing its buffers when it holds
+/// a fact already.
+fn copy_into<'s, F: Clone>(slot: &'s mut Option<F>, src: &F) -> &'s mut F {
+    match slot {
+        Some(x) => {
+            x.clone_from(src);
+            x
+        }
+        None => slot.insert(src.clone()),
+    }
 }
 
 #[cfg(test)]

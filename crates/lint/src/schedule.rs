@@ -29,10 +29,11 @@
 //! against the cycle simulator's trace in the differential oracle tests.
 
 use majc_core::TimingConfig;
-use majc_isa::{Instr, LatClass, Packet, Program, NUM_REGS};
+use majc_isa::{Instr, LatClass, Packet, Program, Reg, NUM_REGS};
 
 use crate::cfg::{Cfg, Edge};
 use crate::diag::{Diag, Kind, Severity};
+use crate::engine::{solve, Dataflow, Dir};
 
 /// Load-to-use cycles assumed for pending load results. This is the
 /// `PerfectPort` hit time — the *minimum* the LSU can deliver, which is the
@@ -40,60 +41,124 @@ use crate::diag::{Diag, Kind, Severity};
 /// only delays consumers further).
 const LOAD_USE: u64 = 2;
 
+/// Pending results of one register: cycles until its value is visible to
+/// each consuming FU, per producer family.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Pending {
+    reg: Reg,
+    /// Deterministic producer.
+    det: [u32; 4],
+    /// Interlocked producer.
+    int: [u32; 4],
+}
+
+impl Pending {
+    fn is_zero(&self) -> bool {
+        self.det == [0; 4] && self.int == [0; 4]
+    }
+}
+
 /// Pending-result state at a packet boundary, relative to the packet's
 /// earliest issue cycle.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Sparse: only registers with a result still in flight have an entry,
+/// sorted by register, and no entry is all zero. Straight-line code keeps a
+/// handful of results in flight out of 224 registers, so copying, shifting
+/// and joining touch only those.
+#[derive(PartialEq, Eq)]
 pub(crate) struct State {
-    /// Cycles until reg `r` (deterministic producer) is visible to FU `f`.
-    det: Vec<[u32; 4]>,
-    /// Cycles until reg `r` (interlocked producer) is visible to FU `f`.
-    int: Vec<[u32; 4]>,
+    pend: Vec<Pending>,
     /// Cycles until the FU0 divider is free.
     fu0: u32,
     /// Cycles until each FU can start another double-precision op.
     dbl: [u32; 4],
 }
 
+impl Clone for State {
+    fn clone(&self) -> State {
+        State { pend: self.pend.clone(), fu0: self.fu0, dbl: self.dbl }
+    }
+
+    /// Reuses `self`'s allocation: the fixpoint copies a state per edge.
+    fn clone_from(&mut self, src: &State) {
+        self.pend.clone_from(&src.pend);
+        self.fu0 = src.fu0;
+        self.dbl = src.dbl;
+    }
+}
+
 impl State {
     pub(crate) fn empty() -> State {
-        State {
-            det: vec![[0; 4]; NUM_REGS as usize],
-            int: vec![[0; 4]; NUM_REGS as usize],
-            fu0: 0,
-            dbl: [0; 4],
+        State { pend: Vec::new(), fu0: 0, dbl: [0; 4] }
+    }
+
+    fn pending(&self, r: Reg) -> Option<&Pending> {
+        self.pend.binary_search_by_key(&r, |p| p.reg).ok().map(|i| &self.pend[i])
+    }
+
+    /// Cycles until `r`'s deterministic-latency result is visible to `fu`.
+    fn det(&self, r: Reg, fu: u8) -> u32 {
+        self.pending(r).map_or(0, |p| p.det[fu as usize])
+    }
+
+    /// Cycles until `r`'s interlocked result is visible to `fu`.
+    fn int(&self, r: Reg, fu: u8) -> u32 {
+        self.pending(r).map_or(0, |p| p.int[fu as usize])
+    }
+
+    /// A new producer of `r` whose result reaches FU `f` after `vis[f]`
+    /// cycles; it replaces whatever was pending for `r`.
+    fn set(&mut self, r: Reg, interlocked: bool, vis: [u32; 4]) {
+        let (det, int) = if interlocked { ([0; 4], vis) } else { (vis, [0; 4]) };
+        let p = Pending { reg: r, det, int };
+        match (self.pend.binary_search_by_key(&r, |p| p.reg), p.is_zero()) {
+            (Ok(i), false) => self.pend[i] = p,
+            (Ok(i), true) => {
+                self.pend.remove(i);
+            }
+            (Err(i), false) => self.pend.insert(i, p),
+            (Err(_), true) => {}
         }
     }
 
-    /// Element-wise max join; returns true if `self` changed.
+    /// Element-wise max join (a merge of the two sorted lists); returns
+    /// true if `self` changed.
     fn join(&mut self, other: &State) -> bool {
-        let mut changed = false;
-        let mut up = |a: &mut u32, b: u32| {
-            if b > *a {
-                *a = b;
-                changed = true;
-            }
-        };
-        for r in 0..NUM_REGS as usize {
-            for f in 0..4 {
-                up(&mut self.det[r][f], other.det[r][f]);
-                up(&mut self.int[r][f], other.int[r][f]);
-            }
-        }
-        up(&mut self.fu0, other.fu0);
+        let mut changed = raise(&mut self.fu0, other.fu0);
         for f in 0..4 {
-            up(&mut self.dbl[f], other.dbl[f]);
+            changed |= raise(&mut self.dbl[f], other.dbl[f]);
+        }
+        let mut i = 0;
+        for o in &other.pend {
+            while i < self.pend.len() && self.pend[i].reg < o.reg {
+                i += 1;
+            }
+            match self.pend.get_mut(i) {
+                Some(p) if p.reg == o.reg => {
+                    for f in 0..4 {
+                        changed |= raise(&mut p.det[f], o.det[f]);
+                        changed |= raise(&mut p.int[f], o.int[f]);
+                    }
+                }
+                _ => {
+                    self.pend.insert(i, *o);
+                    changed = true;
+                }
+            }
+            i += 1;
         }
         changed
     }
 
-    /// Re-base the state `by` cycles later (crossing an edge).
+    /// Re-base the state `by` cycles later (crossing an edge); results that
+    /// become visible everywhere drop out.
     pub(crate) fn shift(&mut self, by: u32) {
-        for r in 0..NUM_REGS as usize {
-            for f in 0..4 {
-                self.det[r][f] = self.det[r][f].saturating_sub(by);
-                self.int[r][f] = self.int[r][f].saturating_sub(by);
+        self.pend.retain_mut(|p| {
+            for x in p.det.iter_mut().chain(p.int.iter_mut()) {
+                *x = x.saturating_sub(by);
             }
-        }
+            !p.is_zero()
+        });
         self.fu0 = self.fu0.saturating_sub(by);
         for f in 0..4 {
             self.dbl[f] = self.dbl[f].saturating_sub(by);
@@ -101,10 +166,19 @@ impl State {
     }
 }
 
+/// `*a = max(*a, b)`; true if `a` grew.
+fn raise(a: &mut u32, b: u32) -> bool {
+    let grew = b > *a;
+    if grew {
+        *a = b;
+    }
+    grew
+}
+
 /// One deterministic-latency violation found while transferring a packet.
 pub(crate) struct Stall {
     pub slot: u8,
-    pub reg: majc_isa::Reg,
+    pub reg: Reg,
     pub cycles_short: u64,
 }
 
@@ -120,7 +194,7 @@ pub(crate) fn transfer(
     let mut hw = 0u32;
     for (fu, ins) in pkt.slots() {
         for r in ins.uses().iter() {
-            hw = hw.max(state.int[r.index()][fu as usize]);
+            hw = hw.max(state.int(r, fu));
         }
         match ins.lat_class() {
             LatClass::IDiv => hw = hw.max(state.fu0),
@@ -137,7 +211,7 @@ pub(crate) fn transfer(
     let mut t = hw;
     for (fu, ins) in pkt.slots() {
         for r in ins.uses().iter() {
-            let pend = state.det[r.index()][fu as usize];
+            let pend = state.det(r, fu);
             if pend > hw {
                 stalls.push(Stall { slot: fu, reg: r, cycles_short: u64::from(pend - hw) });
             }
@@ -154,21 +228,15 @@ pub(crate) fn transfer(
             LatClass::FpDouble => state.dbl[fu as usize] = t + timing.dbl_ii as u32,
             _ => {}
         }
-        let interlocked = class.is_interlocked();
+        let mut vis = [0u32; 4];
+        for (cfu, v) in (0..4u8).zip(&mut vis) {
+            *v = match class {
+                LatClass::Load => t + LOAD_USE as u32,
+                _ => t + timing.latency(class) as u32 + timing.xfu_delay(fu, cfu) as u32,
+            };
+        }
         for d in ins.defs().iter() {
-            for cfu in 0..4u8 {
-                let vis = match class {
-                    LatClass::Load => t + LOAD_USE as u32,
-                    _ => t + timing.latency(class) as u32 + timing.xfu_delay(fu, cfu) as u32,
-                };
-                let (hot, cold) = if interlocked {
-                    (&mut state.int, &mut state.det)
-                } else {
-                    (&mut state.det, &mut state.int)
-                };
-                hot[d.index()][cfu as usize] = vis;
-                cold[d.index()][cfu as usize] = 0;
-            }
+            state.set(d, class.is_interlocked(), vis);
         }
     }
 
@@ -180,6 +248,57 @@ pub(crate) fn edge_gap(edge: Edge, timing: &TimingConfig) -> u32 {
     1 + match edge {
         Edge::Fall => 0,
         Edge::Taken | Edge::Call => timing.taken_bubble as u32,
+    }
+}
+
+/// A packet-entry state plus the issue offset the packet's own transfer
+/// found, which the outgoing edges re-base by.
+struct Timed {
+    state: State,
+    issue: u32,
+}
+
+impl Clone for Timed {
+    fn clone(&self) -> Timed {
+        Timed { state: self.state.clone(), issue: self.issue }
+    }
+
+    fn clone_from(&mut self, src: &Timed) {
+        self.state.clone_from(&src.state);
+        self.issue = src.issue;
+    }
+}
+
+/// The schedule fixpoint as an engine instance. The lattice is finite
+/// (delays are bounded by the largest latency) and the join is a max, so
+/// it terminates; an indirect-jump target starts with nothing pending.
+struct Sched<'a> {
+    prog: &'a Program,
+    timing: &'a TimingConfig,
+}
+
+impl Dataflow for Sched<'_> {
+    type Fact = Timed;
+
+    fn dir(&self) -> Dir {
+        Dir::Forward
+    }
+
+    fn boundary(&self) -> Timed {
+        Timed { state: State::empty(), issue: 0 }
+    }
+
+    fn join(&self, into: &mut Timed, other: &Timed) -> bool {
+        into.state.join(&other.state)
+    }
+
+    fn transfer(&self, node: usize, fact: &mut Timed) {
+        fact.issue = transfer(&mut fact.state, &self.prog.packets()[node], self.timing).0;
+    }
+
+    fn edge(&self, _from: usize, _to: usize, edge: Edge, fact: &mut Timed) -> bool {
+        fact.state.shift(fact.issue + edge_gap(edge, self.timing));
+        true
     }
 }
 
@@ -196,52 +315,14 @@ pub(crate) fn check(
     exposed: bool,
     diags: &mut Vec<Diag>,
 ) {
-    let n = prog.len();
-    if n == 0 {
-        return;
-    }
-    let mut entry: Vec<Option<State>> = vec![None; n];
-    entry[0] = Some(State::empty());
-    // With an indirect jump the entry of every packet is possible; seed all
-    // reachable packets with the empty (no-pending) state as well.
-    if cfg.has_indirect {
-        for e in entry.iter_mut() {
-            e.get_or_insert_with(State::empty);
-        }
-    }
+    // Trap-vector entries are not seeded: the check covers code reached
+    // from the entry or, with an indirect jump, from every packet.
+    let sol = solve(prog, cfg, &[], &Sched { prog, timing });
 
-    let mut work: Vec<usize> = (0..n).filter(|&i| entry[i].is_some()).collect();
-    let mut iterations = 0usize;
-    while let Some(i) = work.pop() {
-        // Finite lattice + max-join guarantees termination; this guard is
-        // a defensive backstop, not a tuning knob.
-        iterations += 1;
-        if iterations > n.saturating_mul(4096) {
-            break;
-        }
-        let Some(mut s) = entry[i].clone() else { continue };
-        let (t, _) = transfer(&mut s, &prog.packets()[i], timing);
-        for &(succ, edge) in &cfg.succs[i] {
-            let mut out = s.clone();
-            out.shift(t + edge_gap(edge, timing));
-            match &mut entry[succ] {
-                Some(e) => {
-                    if e.join(&out) && !work.contains(&succ) {
-                        work.push(succ);
-                    }
-                }
-                e @ None => {
-                    *e = Some(out);
-                    work.push(succ);
-                }
-            }
-        }
-    }
-
-    // Converged: one reporting pass over every analysed packet.
-    for (i, e) in entry.iter().enumerate() {
-        let Some(e) = e else { continue };
-        let mut s = e.clone();
+    // One reporting pass over every analysed packet.
+    for (i, f) in sol.facts.iter().enumerate() {
+        let Some(f) = f else { continue };
+        let mut s = f.state.clone();
         let (_, stalls) = transfer(&mut s, &prog.packets()[i], timing);
         for st in stalls {
             let (severity, kind, verb) = if exposed {
@@ -425,5 +506,93 @@ mod tests {
         let p2 =
             prog(vec![Packet::solo(Instr::Membar).unwrap(), Packet::solo(Instr::Halt).unwrap()]);
         assert!(predicted_issue_cycles(&p2, &timing).is_none());
+    }
+
+    /// Random `set`/`shift`/`join` sequences on the sparse state and on a
+    /// dense 224-register model: both must read the same everywhere, agree
+    /// on every join's "changed" flag, and the sparse list must stay sorted
+    /// with no all-zero entry.
+    #[test]
+    fn sparse_state_matches_a_dense_model() {
+        const N: usize = NUM_REGS as usize;
+        #[derive(Clone)]
+        struct Dense {
+            det: [[u32; 4]; N],
+            int: [[u32; 4]; N],
+            fu0: u32,
+            dbl: [u32; 4],
+        }
+        impl Dense {
+            fn cells(&mut self) -> impl Iterator<Item = &mut u32> {
+                let regs = self.det.iter_mut().chain(self.int.iter_mut()).flatten();
+                regs.chain(std::iter::once(&mut self.fu0)).chain(self.dbl.iter_mut())
+            }
+        }
+        let agree = |s: &State, d: &Dense| {
+            for r in 0..N {
+                let reg = Reg::from_index(r as u8).unwrap();
+                for fu in 0..4u8 {
+                    assert_eq!(s.det(reg, fu), d.det[r][fu as usize], "det {reg} fu{fu}");
+                    assert_eq!(s.int(reg, fu), d.int[r][fu as usize], "int {reg} fu{fu}");
+                }
+            }
+            assert_eq!((s.fu0, s.dbl), (d.fu0, d.dbl));
+            assert!(s.pend.windows(2).all(|w| w[0].reg < w[1].reg), "sorted, no duplicates");
+            assert!(s.pend.iter().all(|p| !p.is_zero()), "no all-zero entry");
+        };
+        const POOL: [u8; 9] = [0, 1, 2, 63, 64, 95, 96, 191, 223];
+        let mut rng = majc_isa::SplitMix64::new(0x5C4E_D01E);
+        for _ in 0..200 {
+            let empty = Dense { det: [[0; 4]; N], int: [[0; 4]; N], fu0: 0, dbl: [0; 4] };
+            let mut sparse = vec![State::empty(); 3];
+            let mut dense = vec![empty; 3];
+            for _ in 0..40 {
+                let k = rng.index(3);
+                match rng.below(4) {
+                    0 => {
+                        let r = *rng.pick(&POOL);
+                        let mut vis = [0u32; 4];
+                        if rng.below(4) != 0 {
+                            vis.iter_mut().for_each(|v| *v = rng.below(6) as u32);
+                        }
+                        let interlocked = rng.flip();
+                        sparse[k].set(Reg::from_index(r).unwrap(), interlocked, vis);
+                        let d = &mut dense[k];
+                        let (hot, cold) = if interlocked {
+                            (&mut d.int, &mut d.det)
+                        } else {
+                            (&mut d.det, &mut d.int)
+                        };
+                        hot[r as usize] = vis;
+                        cold[r as usize] = [0; 4];
+                    }
+                    1 => {
+                        let by = rng.below(4) as u32;
+                        sparse[k].shift(by);
+                        dense[k].cells().for_each(|x| *x = x.saturating_sub(by));
+                    }
+                    2 => {
+                        let m = rng.index(3);
+                        let src = sparse[m].clone();
+                        let changed = sparse[k].join(&src);
+                        let mut other = dense[m].clone();
+                        let mut dense_changed = false;
+                        for (a, b) in dense[k].cells().zip(other.cells()) {
+                            dense_changed |= *b > *a;
+                            *a = (*a).max(*b);
+                        }
+                        assert_eq!(changed, dense_changed, "join changed flag");
+                    }
+                    _ => {
+                        let (fu0, f, d) = (rng.below(5) as u32, rng.index(4), rng.below(5) as u32);
+                        sparse[k].fu0 = fu0;
+                        sparse[k].dbl[f] = d;
+                        dense[k].fu0 = fu0;
+                        dense[k].dbl[f] = d;
+                    }
+                }
+                agree(&sparse[k], &dense[k]);
+            }
+        }
     }
 }

@@ -21,15 +21,13 @@
 //! always/never-taken diagnostics come from.
 
 use majc_core::{exec_slot, RegFile, WriteSet};
-use majc_isa::{AluOp, Cond, Instr, Program, Reg, Src, NUM_REGS};
+use majc_isa::{AluOp, Cond, Instr, Program, Reg, Src};
 use majc_mem::FlatMem;
 
 use crate::cfg::{Cfg, Edge};
 use crate::diag::{Diag, Kind, Severity};
 use crate::engine::{solve, Dataflow, Dir};
 use crate::facts::{BranchFact, ConstFact, RangeFact};
-
-const REGS: usize = NUM_REGS as usize;
 
 /// Abstract value of one register.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,48 +126,109 @@ pub(crate) fn fold_exec(
     Some(ins.defs().iter().map(|r| (r, regs.get(r))).collect())
 }
 
-/// The dataflow instance: a 224-register vector of abstract values.
+/// The abstract register file: the registers known better than ⊤, sorted
+/// by register. Every register without an entry is ⊤, and no entry holds
+/// ⊤, so the representation is canonical.
+#[derive(Default)]
+pub(crate) struct ValFact(Vec<(Reg, Val)>);
+
+impl Clone for ValFact {
+    fn clone(&self) -> ValFact {
+        ValFact(self.0.clone())
+    }
+
+    fn clone_from(&mut self, src: &ValFact) {
+        self.0.clone_from(&src.0);
+    }
+}
+
+impl ValFact {
+    fn get(&self, r: Reg) -> Val {
+        self.0.binary_search_by_key(&r, |e| e.0).map_or(Val::Top, |i| self.0[i].1)
+    }
+
+    fn set(&mut self, r: Reg, v: Val) {
+        match (self.0.binary_search_by_key(&r, |e| e.0), v) {
+            (Ok(i), Val::Top) => {
+                self.0.remove(i);
+            }
+            (Ok(i), v) => self.0[i].1 = v,
+            (Err(_), Val::Top) => {}
+            (Err(i), v) => self.0.insert(i, (r, v)),
+        }
+    }
+
+    /// Pointwise [`join_val`]; true if `self` changed. ⊤ absorbs, so only
+    /// registers known on both sides can keep an entry: the join is an
+    /// intersection of the two sorted lists.
+    fn join(&mut self, other: &ValFact) -> bool {
+        let mut changed = false;
+        let mut j = 0;
+        self.0.retain_mut(|(r, v)| {
+            while j < other.0.len() && other.0[j].0 < *r {
+                j += 1;
+            }
+            let next = match other.0.get(j) {
+                Some(&(o, ov)) if o == *r => join_val(*v, ov),
+                _ => Val::Top,
+            };
+            changed |= next != *v;
+            *v = next;
+            next != Val::Top
+        });
+        changed
+    }
+}
+
+/// The dataflow instance over [`ValFact`].
 pub(crate) struct ValueFlow<'a> {
     prog: &'a Program,
 }
 
 impl ValueFlow<'_> {
-    /// Abstract effect of one slot against the pre-packet fact.
-    fn eval_ins(&self, ins: &Instr, pc: u32, pkt_bytes: u32, fact: &[Val]) -> Vec<(Reg, Val)> {
-        let as_const = |r: Reg| match fact[r.index()] {
+    /// Abstract effect of one slot against the pre-packet fact, appended
+    /// to `out`.
+    fn eval_ins(
+        &self,
+        ins: &Instr,
+        pc: u32,
+        pkt_bytes: u32,
+        fact: &ValFact,
+        out: &mut Vec<(Reg, Val)>,
+    ) {
+        let as_const = |r: Reg| match fact.get(r) {
             Val::Const(c) => Some(c),
             _ => None,
         };
         if let Some(outs) = fold_exec(ins, pc, pkt_bytes, as_const) {
-            return outs.into_iter().map(|(r, v)| (r, Val::Const(v))).collect();
+            out.extend(outs.into_iter().map(|(r, v)| (r, Val::Const(v))));
+            return;
         }
         match *ins {
             Instr::Call { rd, .. } | Instr::Jmpl { rd, .. } => {
-                vec![(rd, Val::Const(pc.wrapping_add(pkt_bytes)))]
+                out.push((rd, Val::Const(pc.wrapping_add(pkt_bytes))));
             }
             Instr::Cmp { rd, .. } | Instr::FCmp { rd, .. } | Instr::DCmp { rd, .. } => {
-                vec![(rd, Val::Range(0, 1))]
+                out.push((rd, Val::Range(0, 1)));
             }
-            Instr::Lzd { rd, .. } => vec![(rd, Val::Range(0, 32))],
-            Instr::CMove { rd, rs, .. } => {
-                vec![(rd, join_val(fact[rd.index()], fact[rs.index()]))]
-            }
+            Instr::Lzd { rd, .. } => out.push((rd, Val::Range(0, 32))),
+            Instr::CMove { rd, rs, .. } => out.push((rd, join_val(fact.get(rd), fact.get(rs)))),
             Instr::Pick { rd, rs1, rs2, .. } => {
-                vec![(rd, join_val(fact[rs1.index()], fact[rs2.index()]))]
+                out.push((rd, join_val(fact.get(rs1), fact.get(rs2))));
             }
             Instr::Alu { op, rd, rs1, src2 } => {
-                vec![(rd, alu_interval(op, fact[rs1.index()], src2, fact))]
+                out.push((rd, alu_interval(op, fact.get(rs1), src2, fact)));
             }
-            _ => ins.defs().iter().map(|r| (r, Val::Top)).collect(),
+            _ => out.extend(ins.defs().iter().map(|r| (r, Val::Top))),
         }
     }
 }
 
 /// Interval rules for ALU ops whose operands are not all constant.
-fn alu_interval(op: AluOp, a: Val, src2: Src, fact: &[Val]) -> Val {
+fn alu_interval(op: AluOp, a: Val, src2: Src, fact: &ValFact) -> Val {
     let b = match src2 {
         Src::Imm(i) => Val::Const(i as i32 as u32),
-        Src::Reg(r) => fact[r.index()],
+        Src::Reg(r) => fact.get(r),
     };
     let (alo, ahi) = bounds(a);
     let (blo, bhi) = bounds(b);
@@ -248,29 +307,21 @@ fn cond_over(cond: Cond, lo: i32, hi: i32) -> (bool, bool) {
 }
 
 impl Dataflow for ValueFlow<'_> {
-    type Fact = Vec<Val>;
+    type Fact = ValFact;
 
     fn dir(&self) -> Dir {
         Dir::Forward
     }
 
-    fn boundary(&self) -> Vec<Val> {
-        vec![Val::Top; REGS]
+    fn boundary(&self) -> ValFact {
+        ValFact::default()
     }
 
-    fn join(&self, into: &mut Vec<Val>, other: &Vec<Val>) -> bool {
-        let mut changed = false;
-        for (e, o) in into.iter_mut().zip(other) {
-            let j = join_val(*e, *o);
-            if j != *e {
-                *e = j;
-                changed = true;
-            }
-        }
-        changed
+    fn join(&self, into: &mut ValFact, other: &ValFact) -> bool {
+        into.join(other)
     }
 
-    fn transfer(&self, node: usize, fact: &mut Vec<Val>) {
+    fn transfer(&self, node: usize, fact: &mut ValFact) {
         let pkt = &self.prog.packets()[node];
         let pc = self.prog.addr_of(node);
         let pb = pkt.len_bytes();
@@ -279,14 +330,14 @@ impl Dataflow for ValueFlow<'_> {
         // `WriteSet::apply` order).
         let mut writes: Vec<(Reg, Val)> = Vec::new();
         for (_, ins) in pkt.slots() {
-            writes.extend(self.eval_ins(ins, pc, pb, fact));
+            self.eval_ins(ins, pc, pb, fact, &mut writes);
         }
         for (r, v) in writes {
-            fact[r.index()] = v;
+            fact.set(r, v);
         }
     }
 
-    fn edge(&self, from: usize, _to: usize, edge: Edge, fact: &mut Vec<Val>) -> bool {
+    fn edge(&self, from: usize, _to: usize, edge: Edge, fact: &mut ValFact) -> bool {
         let Some(&Instr::Br { cond, rs, .. }) = self.prog.packets()[from].control() else {
             return true;
         };
@@ -296,12 +347,12 @@ impl Dataflow for ValueFlow<'_> {
             Edge::Call => None,
         };
         let Some((clo, chi)) = refine else { return true };
-        let (lo, hi) = bounds(fact[rs.index()]);
+        let (lo, hi) = bounds(fact.get(rs));
         let (lo, hi) = (lo.max(clo), hi.min(chi));
         if lo > hi {
             return false; // condition can never send execution this way
         }
-        fact[rs.index()] = from_bounds(lo, hi);
+        fact.set(rs, from_bounds(lo, hi));
         true
     }
 }
@@ -344,14 +395,14 @@ pub(crate) fn analyze_values(prog: &Program, cfg: &Cfg, entries: &[u32]) -> Opti
         }
         used.sort_by_key(|r| r.index());
         for r in used {
-            match fact[r.index()] {
+            match fact.get(r) {
                 Val::Const(v) => out.consts.push(ConstFact { packet: i, reg: r, value: v }),
                 Val::Range(lo, hi) => out.ranges.push(RangeFact { packet: i, reg: r, lo, hi }),
                 Val::Top => {}
             }
         }
         if let Some(&Instr::Br { cond, rs, .. }) = pkt.control() {
-            let (lo, hi) = bounds(fact[rs.index()]);
+            let (lo, hi) = bounds(fact.get(rs));
             let (always, never) = cond_over(cond, lo, hi);
             if always || never {
                 out.branches.push(BranchFact { packet: i, always });
@@ -500,5 +551,57 @@ mod tests {
         assert_eq!(w, Val::Range(0, 256), "moved bound snaps outward");
         assert_eq!(join_val(w, Val::Range(0, 17)), w, "stable after snapping");
         assert_eq!(join_val(Val::Top, Val::Const(3)), Val::Top);
+    }
+
+    /// Random `set`/`join` sequences on the sparse fact and on a dense
+    /// 224-register model: both must read the same everywhere, agree on
+    /// every join's "changed" flag, and the sparse list must stay sorted
+    /// with no ⊤ entry.
+    #[test]
+    fn sparse_fact_matches_a_dense_model() {
+        const N: usize = majc_isa::NUM_REGS as usize;
+        const POOL: [u8; 9] = [0, 1, 2, 63, 64, 95, 96, 191, 223];
+        let reg = |r: usize| Reg::from_index(r as u8).unwrap();
+        let mut rng = majc_isa::SplitMix64::new(0x7A1_FAC7);
+        let random_val = |rng: &mut majc_isa::SplitMix64| match rng.below(4) {
+            0 => Val::Top,
+            1 => Val::Const(rng.below(3) as u32),
+            2 => {
+                let lo = rng.range_i32(-20, 20);
+                from_bounds(lo, lo + rng.range_i32(0, 40))
+            }
+            _ => from_bounds(*rng.pick(&[i32::MIN, -1, 0]), *rng.pick(&[0, 1, i32::MAX])),
+        };
+        for _ in 0..200 {
+            let mut sparse = vec![ValFact::default(); 3];
+            let mut dense = vec![[Val::Top; N]; 3];
+            for _ in 0..40 {
+                let k = rng.index(3);
+                if rng.flip() {
+                    let r = *rng.pick(&POOL) as usize;
+                    let v = random_val(&mut rng);
+                    sparse[k].set(reg(r), v);
+                    dense[k][r] = v;
+                } else {
+                    let m = rng.index(3);
+                    let src = sparse[m].clone();
+                    let changed = sparse[k].join(&src);
+                    let other = dense[m];
+                    let mut dense_changed = false;
+                    for (a, b) in dense[k].iter_mut().zip(other) {
+                        let j = join_val(*a, b);
+                        dense_changed |= j != *a;
+                        *a = j;
+                    }
+                    assert_eq!(changed, dense_changed, "join changed flag");
+                }
+                let (s, d) = (&sparse[k], &dense[k]);
+                for (r, &v) in d.iter().enumerate() {
+                    assert_eq!(s.get(reg(r)), v, "g{r}");
+                }
+                assert!(s.0.windows(2).all(|w| w[0].0 < w[1].0), "sorted, no duplicates");
+                assert!(s.0.iter().all(|e| e.1 != Val::Top), "no ⊤ entry");
+            }
+        }
     }
 }
