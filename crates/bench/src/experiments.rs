@@ -1,7 +1,7 @@
 //! One function per paper artifact, each regenerating its table/figure
 //! (DESIGN.md experiment index E1-E10).
 
-use majc_core::{BypassModel, TimingConfig};
+use majc_core::{json::quote, BypassModel, TimingConfig};
 use majc_kernels::harness::{measure, run_warm, MemModel, XorShift};
 use majc_kernels::{
     biquad, bitrev, cfir, colorconv, convolve, dct, fft, fir, idct, lms, maxsearch, motion, peak,
@@ -10,10 +10,50 @@ use majc_kernels::{
 use majc_mem::FlatMem;
 use majc_soc::{Dte, Endpoint, Link};
 
-use crate::report::{Row, Table};
+use crate::report::{save_note, Row, Table};
 
 fn k(v: u64) -> String {
     format!("{v}")
+}
+
+/// Worker counts an experiment sweeps when run without `--jobs`.
+const SWEEP_JOBS: [usize; 3] = [1, 2, 4];
+
+/// Run an experiment's batch on `n` workers for `jobs: Some(n)`, or once
+/// per [`SWEEP_JOBS`] count for `jobs: None`, and assert that every run's
+/// deterministic report (the `String` half of `run_batch`'s result) is
+/// byte-identical to the first run's. Returns each run with its worker
+/// count, in sweep order.
+fn sweep<R>(
+    jobs: Option<usize>,
+    run_batch: impl Fn(usize) -> (String, R),
+) -> Vec<(usize, (String, R))> {
+    let counts = jobs.map_or(SWEEP_JOBS.to_vec(), |n| vec![n]);
+    let runs: Vec<(usize, (String, R))> = counts.into_iter().map(|n| (n, run_batch(n))).collect();
+    let (_, (base, _)) = &runs[0];
+    for (n, (report, _)) in &runs {
+        assert_eq!(report, base, "report must be byte-identical at --jobs {n}");
+    }
+    runs
+}
+
+/// The row a full sweep adds once its `what` compared byte-identical.
+fn determinism_row(what: &str) -> Row {
+    Row::new("determinism", "byte-identical", "byte-identical", format!("{what} at --jobs 1/2/4"))
+}
+
+/// Close a swept experiment's table: the determinism verdict after a full
+/// sweep, then the `label` row saying where the deterministic report
+/// `file` was saved.
+fn report_rows(t: &mut Table, jobs: Option<usize>, label: &str, file: &str, report: &str) {
+    let note = match jobs {
+        Some(n) => format!("--jobs {n}"),
+        None => {
+            t.push(determinism_row(&format!("{label}s")));
+            String::new()
+        }
+    };
+    t.push(Row::new(label, "-", save_note(file, report), note));
 }
 
 /// Run a batch of independent kernel simulations through the simulation
@@ -863,7 +903,8 @@ fn farm_batch() -> Vec<FarmScenario> {
 /// result is a pure function of `(FARM_MASTER_SEED, shard)`.
 fn run_farm_scenario(shard: usize, sc: FarmScenario) -> crate::farm::ShardResult {
     use crate::diff::{diff_run, fuzz_program, FUZZ_BUDGET};
-    use crate::farm::{fnv1a, run_soak, shard_seed, ShardResult};
+    use crate::farm::{run_soak, shard_seed, ShardResult};
+    use majc_mem::fnv1a;
     let seed = shard_seed(FARM_MASTER_SEED, shard as u64);
     match sc {
         FarmScenario::Soak(c) => {
@@ -925,37 +966,13 @@ fn run_farm_scenario(shard: usize, sc: FarmScenario) -> crate::farm::ShardResult
 /// and emits the per-job scaling table. Wall-clock appears only in the
 /// printed table, never in the merged report.
 pub fn farm(jobs: Option<usize>) -> Table {
-    use crate::farm::{merged_json, merged_json_full, Farm, PoolMetrics};
+    use crate::farm::{merged_json, merged_json_full, Farm};
 
     let run_batch = |n: usize| {
         let t0 = std::time::Instant::now();
         let (results, pool) = Farm::new(n).run_metered(farm_batch(), run_farm_scenario);
         let elapsed = t0.elapsed().as_secs_f64();
-        (merged_json(FARM_MASTER_SEED, &results), results, elapsed, pool)
-    };
-    let save = |report: &str| {
-        let out = std::path::Path::new("target/reports");
-        match std::fs::create_dir_all(out)
-            .and_then(|()| std::fs::write(out.join("farm_merged.json"), report))
-        {
-            Ok(()) => "saved target/reports/farm_merged.json".to_string(),
-            Err(e) => format!("not saved: {e}"),
-        }
-    };
-    // The operator-facing sibling of the merged report: same shards, plus
-    // the pool's scheduling tallies in an explicitly nondeterministic
-    // trailer. Never byte-compared — that is the point.
-    let save_pool = |results: &[crate::farm::ShardResult], pool: &PoolMetrics| {
-        let out = std::path::Path::new("target/reports");
-        let full = merged_json_full(FARM_MASTER_SEED, results, Some(pool));
-        match std::fs::create_dir_all(out)
-            .and_then(|()| std::fs::write(out.join("farm_pool.json"), full))
-        {
-            Ok(()) => {
-                format!("saved target/reports/farm_pool.json ({} steals)", pool.total_steals())
-            }
-            Err(e) => format!("not saved: {e}"),
-        }
+        (merged_json(FARM_MASTER_SEED, &results), (results, elapsed, pool))
     };
     let throughput = |results: &[crate::farm::ShardResult], elapsed: f64| {
         let cycles: u64 = results.iter().map(|r| r.cycles).sum();
@@ -967,69 +984,57 @@ pub fn farm(jobs: Option<usize>) -> Table {
     };
 
     let mut t = Table::new("farm", "E11: deterministic parallel simulation farm");
-    match jobs {
-        Some(n) => {
-            let (report, results, elapsed, pool) = run_batch(n);
-            let divergences = results.iter().filter(|r| r.divergence.is_some()).count();
-            t.push(Row::new("scenarios", "-", k(results.len() as u64), format!("--jobs {n}")));
+    let runs = sweep(jobs, run_batch);
+    let (_, (report, (results, base_elapsed, _))) = &runs[0];
+    if let Some(n) = jobs {
+        let divergences = results.iter().filter(|r| r.divergence.is_some()).count();
+        t.push(Row::new("scenarios", "-", k(results.len() as u64), format!("--jobs {n}")));
+        t.push(Row::new(
+            "simulated cycles",
+            "-",
+            k(results.iter().map(|r| r.cycles).sum::<u64>()),
+            "sum over shards",
+        ));
+        t.push(Row::new("divergences", "0", k(divergences as u64), ""));
+        t.push(Row::new(
+            "throughput",
+            "-",
+            format!("{base_elapsed:.2} s wall"),
+            throughput(results, *base_elapsed),
+        ));
+    } else {
+        for (n, (_, (results, elapsed, _))) in &runs {
             t.push(Row::new(
-                "simulated cycles",
-                "-",
-                k(results.iter().map(|r| r.cycles).sum::<u64>()),
-                "sum over shards",
-            ));
-            t.push(Row::new("divergences", "0", k(divergences as u64), ""));
-            t.push(Row::new(
-                "throughput",
+                format!("--jobs {n}"),
                 "-",
                 format!("{elapsed:.2} s wall"),
-                throughput(&results, elapsed),
-            ));
-            t.push(Row::new("merged report", "-", save(&report), "no wall-clock fields"));
-            t.push(Row::new(
-                "pool report",
-                "-",
-                save_pool(&results, &pool),
-                "scheduling tallies, nondeterministic",
+                format!(
+                    "{}, speedup {:.2}x",
+                    throughput(results, *elapsed),
+                    base_elapsed / elapsed
+                ),
             ));
         }
-        None => {
-            type BatchRun = (String, Vec<crate::farm::ShardResult>, f64, PoolMetrics);
-            let sweep: Vec<(usize, BatchRun)> =
-                [1usize, 2, 4].into_iter().map(|n| (n, run_batch(n))).collect();
-            let (base_report, _, base_elapsed, _) = &sweep[0].1;
-            for (n, (report, results, elapsed, _)) in &sweep {
-                assert_eq!(
-                    report, base_report,
-                    "merged report must be byte-identical at --jobs {n}"
-                );
-                t.push(Row::new(
-                    format!("--jobs {n}"),
-                    "-",
-                    format!("{elapsed:.2} s wall"),
-                    format!(
-                        "{}, speedup {:.2}x",
-                        throughput(results, *elapsed),
-                        base_elapsed / elapsed
-                    ),
-                ));
-            }
-            t.push(Row::new(
-                "determinism",
-                "byte-identical",
-                "byte-identical",
-                "merged reports at --jobs 1/2/4",
-            ));
-            t.push(Row::new("merged report", "-", save(base_report), "no wall-clock fields"));
-            let (_, (_, last_results, _, last_pool)) = &sweep[sweep.len() - 1];
-            t.push(Row::new(
-                "pool report",
-                "-",
-                save_pool(last_results, last_pool),
-                "scheduling tallies, nondeterministic",
-            ));
-        }
+        t.push(determinism_row("merged reports"));
     }
+    t.push(Row::new(
+        "merged report",
+        "-",
+        save_note("farm_merged.json", report),
+        "no wall-clock fields",
+    ));
+    // The operator-facing sibling of the merged report, from the last
+    // run: same shards, plus the pool's scheduling tallies in an
+    // explicitly nondeterministic trailer. Never byte-compared — that is
+    // the point.
+    let (_, (_, (results, _, pool))) = &runs[runs.len() - 1];
+    let full = merged_json_full(FARM_MASTER_SEED, results, Some(pool));
+    t.push(Row::new(
+        "pool report",
+        "-",
+        format!("{} ({} steals)", save_note("farm_pool.json", &full), pool.total_steals()),
+        "scheduling tallies, nondeterministic",
+    ));
     t
 }
 
@@ -1192,15 +1197,6 @@ pub fn lintfacts(jobs: Option<usize>) -> Table {
         );
         (lintfacts_json(&tallies), tallies)
     };
-    let save = |report: &str| {
-        let out = std::path::Path::new("target/reports");
-        match std::fs::create_dir_all(out)
-            .and_then(|()| std::fs::write(out.join("lintfacts.json"), report))
-        {
-            Ok(()) => "saved target/reports/lintfacts.json".to_string(),
-            Err(e) => format!("not saved: {e}"),
-        }
-    };
     let summarize = |t: &mut Table, tallies: &[LintTally]| {
         let sum = |f: fn(&LintTally) -> usize| tallies.iter().map(f).sum::<usize>();
         t.push(Row::new(
@@ -1243,31 +1239,12 @@ pub fn lintfacts(jobs: Option<usize>) -> Table {
 
     // The table's own save goes to `lintfacts_summary.json`: the
     // `lintfacts.json` name belongs to the deterministic facts report
-    // written above, which CI `cmp`s across `--jobs` values.
+    // written below, which CI `cmp`s across `--jobs` values.
     let mut t = Table::new("lintfacts_summary", "E12: execution-validated abstract interpretation");
-    match jobs {
-        Some(n) => {
-            let (report, tallies) = run_batch(n);
-            summarize(&mut t, &tallies);
-            t.push(Row::new("report", "-", save(&report), format!("--jobs {n}")));
-        }
-        None => {
-            let sweep: Vec<(usize, (String, Vec<LintTally>))> =
-                [1usize, 2, 4].into_iter().map(|n| (n, run_batch(n))).collect();
-            let (base_report, base_tallies) = &sweep[0].1;
-            for (n, (report, _)) in &sweep {
-                assert_eq!(report, base_report, "report must be byte-identical at --jobs {n}");
-            }
-            summarize(&mut t, base_tallies);
-            t.push(Row::new(
-                "determinism",
-                "byte-identical",
-                "byte-identical",
-                "reports at --jobs 1/2/4",
-            ));
-            t.push(Row::new("report", "-", save(base_report), ""));
-        }
-    }
+    let runs = sweep(jobs, run_batch);
+    let (_, (report, tallies)) = &runs[0];
+    summarize(&mut t, tallies);
+    report_rows(&mut t, jobs, "report", "lintfacts.json", report);
     t
 }
 
@@ -1344,15 +1321,7 @@ pub fn serve() -> Table {
     ));
 
     let saved = match last_json {
-        Some(json) => {
-            let out = std::path::Path::new("target/reports");
-            match std::fs::create_dir_all(out)
-                .and_then(|()| std::fs::write(out.join("serve_load.json"), json))
-            {
-                Ok(()) => "saved target/reports/serve_load.json".to_string(),
-                Err(e) => format!("not saved: {e}"),
-            }
-        }
+        Some(json) => save_note("serve_load.json", &json),
         None => "no cells ran".to_string(),
     };
     t.push(Row::new("report", "-", saved, "largest cell (4 workers, queue 16)"));
@@ -1415,13 +1384,7 @@ pub fn trace() -> Table {
 
     let doc = export_perfetto(&evs);
     let validated = validate_perfetto(&doc).expect("exported Perfetto document validates");
-    let out = std::path::Path::new("target/reports");
-    let saved = std::fs::create_dir_all(out)
-        .and_then(|()| std::fs::write(out.join("trace_idct_perfetto.json"), &doc));
-    let where_saved = match saved {
-        Ok(()) => "saved target/reports/trace_idct_perfetto.json".to_string(),
-        Err(e) => format!("not saved: {e}"),
-    };
+    let where_saved = save_note("trace_idct_perfetto.json", &doc);
 
     let count = |f: fn(&Event) -> bool| evs.iter().filter(|e| f(e)).count() as u64;
     t.push(Row::new(
@@ -1567,7 +1530,7 @@ fn xlate_json(
         s.push_str(&format!(
             "    {{\"name\":{},\"packets\":{},\"digest\":\"{:016x}\",\"uops\":{},\
              \"specialized\":{},\"fallback\":{}}}{}\n",
-            crate::report::json_str(&r.name),
+            quote(&r.name),
             r.packets,
             r.digest,
             r.uops,
@@ -1645,16 +1608,6 @@ pub fn xlate(jobs: Option<usize>) -> Table {
         (xlate_json(&recs, FUZZ_CASES, stats), recs)
     };
 
-    let save = |report: &str| {
-        let out = std::path::Path::new("target/reports");
-        match std::fs::create_dir_all(out)
-            .and_then(|()| std::fs::write(out.join("xlate.json"), report))
-        {
-            Ok(()) => "saved target/reports/xlate.json".to_string(),
-            Err(e) => format!("not saved: {e}"),
-        }
-    };
-
     // Wall-clock throughput over the suite, one engine at a time. Never
     // part of the cmp'd report. The translated engine runs from resolved
     // translations — the resident-worker steady state the architecture is
@@ -1710,29 +1663,10 @@ pub fn xlate(jobs: Option<usize>) -> Table {
     };
 
     let mut t = Table::new("xlate_summary", "E14: decode-once translated execution engine");
-    match jobs {
-        Some(n) => {
-            let (report, recs) = run_batch(n);
-            summarize(&mut t, &recs);
-            t.push(Row::new("report", "-", save(&report), format!("--jobs {n}")));
-        }
-        None => {
-            let sweep: Vec<(usize, (String, Vec<XlateKernelRec>))> =
-                [1usize, 2, 4].into_iter().map(|n| (n, run_batch(n))).collect();
-            let (base_report, base_recs) = &sweep[0].1;
-            for (n, (report, _)) in &sweep {
-                assert_eq!(report, base_report, "report must be byte-identical at --jobs {n}");
-            }
-            summarize(&mut t, base_recs);
-            t.push(Row::new(
-                "determinism",
-                "byte-identical",
-                "byte-identical",
-                "reports at --jobs 1/2/4",
-            ));
-            t.push(Row::new("report", "-", save(base_report), ""));
-        }
-    }
+    let runs = sweep(jobs, run_batch);
+    let (_, (report, recs)) = &runs[0];
+    summarize(&mut t, recs);
+    report_rows(&mut t, jobs, "report", "xlate.json", report);
 
     let (pkts, interp_pps) = throughput(false);
     let (_, xlate_pps) = throughput(true);
@@ -1897,15 +1831,6 @@ pub fn obs(jobs: Option<usize>) -> Table {
         let merged = snaps.iter().fold(majc_obs::Snapshot::default(), |acc, s| acc.merge(s));
         (obs_json(&merged, SHARDS, cache.stats()), merged)
     };
-    let save = |report: &str| {
-        let out = std::path::Path::new("target/reports");
-        match std::fs::create_dir_all(out)
-            .and_then(|()| std::fs::write(out.join("obs.json"), report))
-        {
-            Ok(()) => "saved target/reports/obs.json".to_string(),
-            Err(e) => format!("not saved: {e}"),
-        }
-    };
     let summarize = |t: &mut Table, merged: &majc_obs::Snapshot| {
         let get =
             |name: &str| merged.get(name).and_then(majc_obs::MetricValue::as_u64).unwrap_or(0);
@@ -1924,32 +1849,13 @@ pub fn obs(jobs: Option<usize>) -> Table {
     };
 
     // `obs.json` belongs to the deterministic metrics report written
-    // above, which CI `cmp`s across `--jobs` values; the table itself
+    // below, which CI `cmp`s across `--jobs` values; the table itself
     // saves under `obs_summary`.
     let mut t = Table::new("obs_summary", "E15: service metrics, job spans, live introspection");
-    match jobs {
-        Some(n) => {
-            let (report, merged) = run_batch(n);
-            summarize(&mut t, &merged);
-            t.push(Row::new("det report", "-", save(&report), format!("--jobs {n}")));
-        }
-        None => {
-            let sweep: Vec<(usize, (String, majc_obs::Snapshot))> =
-                [1usize, 2, 4].into_iter().map(|n| (n, run_batch(n))).collect();
-            let (base_report, base_merged) = &sweep[0].1;
-            for (n, (report, _)) in &sweep {
-                assert_eq!(report, base_report, "obs report must be byte-identical at --jobs {n}");
-            }
-            summarize(&mut t, base_merged);
-            t.push(Row::new(
-                "determinism",
-                "byte-identical",
-                "byte-identical",
-                "det reports at --jobs 1/2/4",
-            ));
-            t.push(Row::new("det report", "-", save(base_report), ""));
-        }
-    }
+    let runs = sweep(jobs, run_batch);
+    let (_, (report, merged)) = &runs[0];
+    summarize(&mut t, merged);
+    report_rows(&mut t, jobs, "det report", "obs.json", report);
 
     // Phase B: live servers under chaos load — wall-clock percentiles and
     // span timelines, never part of the cmp'd report.
@@ -2008,13 +1914,7 @@ fn obs_live_sweep(t: &mut Table) {
     if let Some((trace, cell)) = largest {
         let events = majc_core::validate_perfetto(&trace)
             .unwrap_or_else(|e| panic!("E15 span trace failed validation: {e}"));
-        let out = std::path::Path::new("target/reports");
-        let saved = match std::fs::create_dir_all(out)
-            .and_then(|()| std::fs::write(out.join("obs_job_spans.json"), &trace))
-        {
-            Ok(()) => format!("saved target/reports/obs_job_spans.json ({events} events)"),
-            Err(e) => format!("not saved: {e}"),
-        };
+        let saved = format!("{} ({events} events)", save_note("obs_job_spans.json", &trace));
         t.push(Row::new("job span timeline", "-", saved, format!("{cell}, ui.perfetto.dev")));
     }
 }
@@ -2148,8 +2048,8 @@ fn corpus_json(recs: &[CorpusRec], corpus: PredictProfile, dsp: PredictProfile) 
              \"mispredicts\": {}, \"branch_lookups\": {}, \"data_stall\": {}, \
              \"mem_stall\": {}, \"front_stall\": {}, \"lint_checks\": {}, \
              \"soak_injected\": {}}}{}\n",
-            crate::report::json_str(&r.name),
-            crate::report::json_str(&r.family),
+            quote(&r.name),
+            quote(&r.family),
             r.packets,
             r.cycles,
             r.mispredicts,
@@ -2213,7 +2113,7 @@ pub fn corpus(jobs: Option<usize>) -> Table {
         v
     };
 
-    let run_batch = |n: usize| -> (String, Vec<CorpusRec>, PredictProfile, PredictProfile) {
+    let run_batch = |n: usize| -> (String, (Vec<CorpusRec>, PredictProfile, PredictProfile)) {
         let outs = Farm::new(n).run(batch(), |_, sc| match sc {
             Sc::Corpus(c) => Out::Corpus(Box::new(corpus_rec(&c))),
             Sc::Kernel(c) => Out::Kernel(kernel_predict_profile(&c)),
@@ -2245,17 +2145,7 @@ pub fn corpus(jobs: Option<usize>) -> Table {
             dsp.mispredicts,
             dsp.lookups
         );
-        (corpus_json(&recs, agg, dsp), recs, agg, dsp)
-    };
-
-    let save = |report: &str| {
-        let out = std::path::Path::new("target/reports");
-        match std::fs::create_dir_all(out)
-            .and_then(|()| std::fs::write(out.join("corpus.json"), report))
-        {
-            Ok(()) => "saved target/reports/corpus.json".to_string(),
-            Err(e) => format!("not saved: {e}"),
-        }
+        (corpus_json(&recs, agg, dsp), (recs, agg, dsp))
     };
 
     let summarize =
@@ -2312,33 +2202,13 @@ pub fn corpus(jobs: Option<usize>) -> Table {
 
     // The table's own save goes to `corpus_summary.json`: the
     // `corpus.json` name belongs to the deterministic report written
-    // above, which CI `cmp`s across `--jobs` values.
+    // below, which CI `cmp`s across `--jobs` values.
     let mut t =
         Table::new("corpus_summary", "E16: irregular-program corpus through the validation stack");
-    match jobs {
-        Some(n) => {
-            let (report, recs, agg, dsp) = run_batch(n);
-            summarize(&mut t, &recs, agg, dsp);
-            t.push(Row::new("report", "-", save(&report), format!("--jobs {n}")));
-        }
-        None => {
-            type CorpusBatch = (String, Vec<CorpusRec>, PredictProfile, PredictProfile);
-            let sweep: Vec<(usize, CorpusBatch)> =
-                [1usize, 2, 4].into_iter().map(|n| (n, run_batch(n))).collect();
-            let (base_report, base_recs, agg, dsp) = &sweep[0].1;
-            for (n, (report, ..)) in &sweep {
-                assert_eq!(report, base_report, "report must be byte-identical at --jobs {n}");
-            }
-            summarize(&mut t, base_recs, *agg, *dsp);
-            t.push(Row::new(
-                "determinism",
-                "byte-identical",
-                "byte-identical",
-                "reports at --jobs 1/2/4",
-            ));
-            t.push(Row::new("report", "-", save(base_report), ""));
-        }
-    }
+    let runs = sweep(jobs, run_batch);
+    let (_, (report, (recs, agg, dsp))) = &runs[0];
+    summarize(&mut t, recs, *agg, *dsp);
+    report_rows(&mut t, jobs, "report", "corpus.json", report);
     t
 }
 

@@ -18,12 +18,11 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use majc_core::{
-    CycleSim, CycleStats, LocalMemSys, MemLevelStats, TimingConfig, TrapPolicy, XlateSim,
+    json::quote, CycleSim, CycleStats, LocalMemSys, MemLevelStats, TimingConfig, TrapPolicy,
+    XlateSim,
 };
 use majc_isa::{Instr, Packet, Program};
-use majc_mem::{FaultPlan, FlatMem, MemDiff};
-
-use crate::report::json_str;
+use majc_mem::{fnv1a, FaultPlan, FlatMem, MemDiff};
 
 // ---------------------------------------------------------------------------
 // Seeding
@@ -297,21 +296,11 @@ pub struct ShardResult {
     pub divergence: Option<String>,
 }
 
-/// FNV-1a over arbitrary bytes — the farm's compact fingerprint.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 impl ShardResult {
     /// One JSON object, fixed field order.
     pub fn json(&self) -> String {
         let div = match &self.divergence {
-            Some(d) => json_str(d),
+            Some(d) => quote(d),
             None => "null".into(),
         };
         format!(
@@ -319,7 +308,7 @@ impl ShardResult {
              \"instrs\":{},\"traps\":{},\"mispredicts\":{},\"stats_digest\":{},\
              \"mem_digest\":{},\"fault_events\":{},\"fault_digest\":{},\"divergence\":{}}}",
             self.shard,
-            json_str(&self.name),
+            quote(&self.name),
             self.seed,
             self.cycles,
             self.stats.packets,

@@ -7,7 +7,6 @@
 pub mod diff;
 pub mod experiments;
 pub mod farm;
-pub mod microbench;
 pub mod report;
 
 pub use experiments::{

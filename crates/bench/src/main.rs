@@ -61,44 +61,25 @@ fn main() -> ExitCode {
         "ablations" => emit(experiments::ablations()),
         "faults" => emit(experiments::faults()),
         "memstats" => emit(experiments::memstats()),
-        "farm" => match jobs_flag() {
-            Ok(jobs) => emit(experiments::farm(jobs)),
-            Err(e) => {
-                eprintln!("{e}; {USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-        "lintfacts" => match jobs_flag() {
-            Ok(jobs) => emit(experiments::lintfacts(jobs)),
-            Err(e) => {
-                eprintln!("{e}; {USAGE}");
-                return ExitCode::from(2);
-            }
-        },
         "trace" => emit(experiments::trace()),
         "profile" => emit(experiments::profile()),
         "serve" => emit(experiments::serve()),
-        "xlate" => match jobs_flag() {
-            Ok(jobs) => emit(experiments::xlate(jobs)),
-            Err(e) => {
-                eprintln!("{e}; {USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-        "obs" => match jobs_flag() {
-            Ok(jobs) => emit(experiments::obs(jobs)),
-            Err(e) => {
-                eprintln!("{e}; {USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-        "corpus" => match jobs_flag() {
-            Ok(jobs) => emit(experiments::corpus(jobs)),
-            Err(e) => {
-                eprintln!("{e}; {USAGE}");
-                return ExitCode::from(2);
-            }
-        },
+        "farm" | "lintfacts" | "xlate" | "obs" | "corpus" => {
+            let jobs = match jobs_flag() {
+                Ok(jobs) => jobs,
+                Err(e) => {
+                    eprintln!("{e}; {USAGE}");
+                    return ExitCode::from(2);
+                }
+            };
+            emit(match arg.as_str() {
+                "farm" => experiments::farm(jobs),
+                "lintfacts" => experiments::lintfacts(jobs),
+                "xlate" => experiments::xlate(jobs),
+                "obs" => experiments::obs(jobs),
+                _ => experiments::corpus(jobs),
+            })
+        }
         "all" => {
             for t in experiments::all() {
                 emit(t);

@@ -1,5 +1,9 @@
 //! Table formatting and report persistence for the reproduction harness.
 
+use std::path::{Path, PathBuf};
+
+use majc_core::json::quote;
+
 /// One paper-vs-measured row.
 #[derive(Clone, Debug)]
 pub struct Row {
@@ -73,16 +77,16 @@ impl Table {
     /// registry, so no serde).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out += &format!("  \"id\": {},\n", json_str(&self.id));
-        out += &format!("  \"title\": {},\n", json_str(&self.title));
+        out += &format!("  \"id\": {},\n", quote(&self.id));
+        out += &format!("  \"title\": {},\n", quote(&self.title));
         out += "  \"rows\": [\n";
         for (i, r) in self.rows.iter().enumerate() {
             out += &format!(
                 "    {{\"name\": {}, \"paper\": {}, \"measured\": {}, \"note\": {}}}{}\n",
-                json_str(&r.name),
-                json_str(&r.paper),
-                json_str(&r.measured),
-                json_str(&r.note),
+                quote(&r.name),
+                quote(&r.paper),
+                quote(&r.measured),
+                quote(&r.note),
                 if i + 1 < self.rows.len() { "," } else { "" }
             );
         }
@@ -91,32 +95,26 @@ impl Table {
     }
 
     /// Persist the table as JSON under `target/reports/`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        let dir = std::path::Path::new("target/reports");
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    pub fn save(&self) -> std::io::Result<PathBuf> {
+        save(&format!("{}.json", self.id), &self.to_json())
     }
 }
 
-/// Escape a string as a JSON string literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Write `contents` to `target/reports/<file>`, creating the directory.
+pub fn save(file: &str, contents: &str) -> std::io::Result<PathBuf> {
+    let dir = Path::new("target/reports");
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(file);
+    std::fs::write(&path, contents)?;
+    Ok(path)
+}
+
+/// [`save`], worded for a table cell: `saved <path>` or `not saved: <error>`.
+pub fn save_note(file: &str, contents: &str) -> String {
+    match save(file, contents) {
+        Ok(path) => format!("saved {}", path.display()),
+        Err(e) => format!("not saved: {e}"),
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -59,7 +59,6 @@ use crate::lsu::{Lsu, LsuStall};
 use crate::predictor::Gshare;
 use crate::regfile::{RegFile, WriteSet};
 use crate::stats::CycleStats;
-use crate::trace::TraceRec;
 use crate::trap::{SimError, TrapRegs};
 use crate::txn::MemPort;
 
@@ -196,8 +195,6 @@ pub struct CpuCore<S: TraceSink = NullSink> {
     dbl_free: [u64; 4],
     last_issue: u64,
     pub stats: CycleStats,
-    /// When set, every issued packet is recorded.
-    pub trace: Option<Vec<TraceRec>>,
     /// Receives the typed event stream (see [`crate::events`]).
     pub sink: S,
 }
@@ -237,7 +234,6 @@ impl<S: TraceSink> CpuCore<S> {
             dbl_free: [0; 4],
             last_issue: 0,
             stats: CycleStats::default(),
-            trace: None,
             sink,
         }
     }
@@ -315,13 +311,6 @@ impl<S: TraceSink> CpuCore<S> {
 
     pub fn halted(&self) -> bool {
         self.contexts.iter().all(|c| c.halted)
-    }
-
-    /// Per-packet issue cycles in execution order, if tracing was enabled
-    /// (`sim.trace = Some(Vec::new())` before running). This is the ground
-    /// truth the static linter's predicted schedule is tested against.
-    pub fn issue_cycles(&self) -> Option<Vec<u64>> {
-        self.trace.as_ref().map(|t| t.iter().map(|r| r.issue).collect())
     }
 
     /// Fold the port's per-level counters plus this core's LSU buffer
@@ -723,15 +712,6 @@ impl<S: TraceSink> CpuCore<S> {
                 self.stats.stall_attribution_consistent(),
                 "stall attribution diverged from aggregate counters at pc {pc:#x}"
             );
-            if let Some(tr) = &mut self.trace {
-                tr.push(TraceRec {
-                    ctx: ci as u8,
-                    pc,
-                    issue: t,
-                    width,
-                    operand_wait: operand_wait as u32,
-                });
-            }
             return Ok(!self.halted());
         }
         // 64 consecutive context switches without an issue: livelock.
@@ -829,7 +809,7 @@ impl<S: TraceSink> CpuCore<S> {
 
 /// The cycle-accurate simulator for one standalone CPU: a [`CpuCore`]
 /// paired with the memory system it owns. Dereferences to the core, so
-/// pipeline state (`stats`, `trace`, register accessors, ...) reads the
+/// pipeline state (`stats`, `sink`, register accessors, ...) reads the
 /// same as on [`CpuCore`] itself.
 pub struct CycleSim<P: MemPort, S: TraceSink = NullSink> {
     core: CpuCore<S>,
@@ -1208,18 +1188,30 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_issues() {
+    fn sink_records_issues() {
         let p = prog(vec![
             Packet::solo(alu(Reg::g(0), Reg::g(0), 1)).unwrap(),
             Packet::solo(Instr::Halt).unwrap(),
         ]);
-        let mut sim = CycleSim::new(p, PerfectPort::new(), TimingConfig::default());
-        sim.trace = Some(Vec::new());
+        let mut sim = CycleSim::with_sink(
+            p,
+            PerfectPort::new(),
+            TimingConfig::default(),
+            MemSink::unbounded(),
+        );
         sim.run(100).unwrap();
-        let tr = sim.trace.as_ref().unwrap();
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr[0].pc, 0);
-        assert!(tr[1].issue > tr[0].issue);
+        let issues: Vec<(u32, u64)> = sim
+            .sink
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Issue { pc, at, .. } => Some((pc, at)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(issues.len(), 2);
+        assert_eq!(issues[0].0, 0);
+        assert!(issues[1].1 > issues[0].1);
     }
 
     #[test]

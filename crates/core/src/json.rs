@@ -1,9 +1,11 @@
-//! A minimal, dependency-free JSON parser.
+//! A minimal, dependency-free JSON parser and string quoter.
 //!
 //! Exists so the Perfetto/JSONL exporters can be round-trip validated
 //! in-tree (the workspace carries zero registry dependencies). It is a
 //! straightforward recursive-descent parser over the full JSON grammar;
 //! numbers are held as `f64`, objects as ordered key/value vectors.
+//! Nesting is capped at [`MAX_DEPTH`], so hostile input (a `majc-serve`
+//! client line, say) gets an `Err` instead of overflowing the stack.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,9 +58,14 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The documents the
+/// workspace writes (Perfetto traces, lint facts, the serve protocol)
+/// nest a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse one complete JSON document (trailing whitespace allowed).
 pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser { s: src.as_bytes(), i: 0 };
+    let mut p = Parser { s: src.as_bytes(), i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -68,9 +75,31 @@ pub fn parse(src: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Quote `s` as a JSON string literal, escaping quotes, backslashes and
+/// control characters.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -95,8 +124,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i));
+                }
+                self.depth += 1;
+                let v = if c == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -297,5 +333,27 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let obj = "{\"a\":".repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(parse(&obj).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the cap, unterminated: rejected at the cap, not by
+        // running out of stack.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn quote_escapes_and_round_trips() {
+        assert_eq!(quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(quote("\u{1}\t"), "\"\\u0001\\t\"");
+        for s in ["", "plain", "tab\there", "quote\" back\\", "\u{0}\u{1f}\r\n", "π 😀"] {
+            assert_eq!(parse(&quote(s)).unwrap(), Json::Str(s.into()));
+        }
     }
 }

@@ -31,7 +31,6 @@ pub mod profile;
 pub mod regfile;
 pub mod snapshot;
 pub mod stats;
-pub mod trace;
 pub mod trap;
 pub mod txn;
 pub mod xlate;
@@ -53,7 +52,6 @@ pub use profile::{intervals, profile, IntervalSample, PcProfile, Profile};
 pub use regfile::{RegFile, WriteSet};
 pub use snapshot::{CpuSnap, CPU_SNAP_BYTES};
 pub use stats::CycleStats;
-pub use trace::{render as render_trace, TraceRec};
 pub use trap::{SimError, TrapRegs};
 pub use txn::{Completion, MemLevelStats, MemPort, MemReq, MemResp, Reject, Tag};
 pub use xlate::{

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use majc_isa::fixed;
 use majc_isa::{AluOp, CachePolicy, CvtKind, Instr, MemWidth, Off, Program, Reg, Src};
-use majc_mem::{DKind, FlatMem};
+use majc_mem::{fnv1a, fnv1a_extend, DKind, FlatMem};
 
 use crate::exec::{exec_slot, f2i, lane_mac, lane_mul, lane_op, Flow, Trap};
 use crate::func_sim::FuncStats;
@@ -827,32 +827,21 @@ impl Translation {
 // Translation cache
 // ---------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// FNV-1a digest of a program image: base address plus encoded packet
 /// bytes — the same content digest the farm and `majc-serve` key on.
 /// Programs whose packets cannot be encoded (constructible only in tests)
 /// hash their debug rendering instead; both paths are pure functions of
 /// the program value.
 pub fn program_digest(prog: &Program) -> u64 {
-    let h = fnv_fold(FNV_OFFSET, &prog.base().to_le_bytes());
+    let h = fnv1a(&prog.base().to_le_bytes());
     match majc_isa::encode_program(prog.packets()) {
-        Ok(bytes) => fnv_fold(h, &bytes),
+        Ok(bytes) => fnv1a_extend(h, &bytes),
         Err(_) => {
-            let mut h = fnv_fold(h, &[0xFF]);
+            let mut h = fnv1a_extend(h, &[0xFF]);
             for (i, p) in prog.packets().iter().enumerate() {
-                h = fnv_fold(h, &prog.addr_of(i).to_le_bytes());
+                h = fnv1a_extend(h, &prog.addr_of(i).to_le_bytes());
                 for (_fu, ins) in p.slots() {
-                    h = fnv_fold(h, format!("{ins:?}").as_bytes());
+                    h = fnv1a_extend(h, format!("{ins:?}").as_bytes());
                 }
             }
             h

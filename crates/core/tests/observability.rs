@@ -10,6 +10,8 @@ use majc_core::{
     TimingConfig, TrapPolicy, NUM_STALL_REASONS,
 };
 use majc_isa::{AluOp, CachePolicy, Cond, Instr, MemWidth, Off, Reg, Src};
+use majc_kernels::fir;
+use majc_kernels::harness::XorShift;
 use majc_mem::FlatMem;
 
 /// A small memory-heavy loop: strided loads with a dependent accumulate,
@@ -62,25 +64,35 @@ fn capture(prog: &majc_isa::Program, mem: FlatMem) -> (Vec<Event>, majc_core::Cy
     (evs, stats)
 }
 
+/// The 64x64 FIR of Table 2 with the seeded input of the reproduction's
+/// demo: a floating-point MAC loop beside the stride kernel's loads.
+fn fir_kernel() -> (majc_isa::Program, FlatMem) {
+    let mut rng = XorShift::new(11);
+    let coeffs: Vec<f32> = (0..fir::TAPS).map(|_| rng.next_f32() * 0.2).collect();
+    let input: Vec<f32> = (0..fir::OUTPUTS + fir::TAPS - 1).map(|_| rng.next_f32()).collect();
+    fir::build(&coeffs, &input)
+}
+
 #[test]
 fn null_and_mem_sinks_agree_on_timing() {
-    let (prog, mem) = stride_kernel();
-    let mut base = CycleSim::new(
-        prog.clone(),
-        LocalMemSys::majc5200().with_mem(mem.clone()),
-        TimingConfig::default(),
-    );
-    base.run(1_000_000).unwrap();
-    assert!(base.halted());
+    for (name, (prog, mem)) in [("stride", stride_kernel()), ("fir", fir_kernel())] {
+        let mut base = CycleSim::new(
+            prog.clone(),
+            LocalMemSys::majc5200().with_mem(mem.clone()),
+            TimingConfig::default(),
+        );
+        base.run(1_000_000).unwrap();
+        assert!(base.halted(), "{name}");
 
-    let (_, traced) = capture(&prog, mem);
-    assert_eq!(base.stats.cycles, traced.cycles, "tracing must not change timing");
-    assert_eq!(base.stats.instrs, traced.instrs);
-    assert_eq!(base.stats.packets, traced.packets);
-    assert_eq!(base.stats.data_stall_cycles, traced.data_stall_cycles);
-    assert_eq!(base.stats.mem_stall_cycles, traced.mem_stall_cycles);
-    assert_eq!(base.stats.front_stall_cycles, traced.front_stall_cycles);
-    assert_eq!(base.stats.stall_by_reason, traced.stall_by_reason);
+        let (_, traced) = capture(&prog, mem);
+        assert_eq!(base.stats.cycles, traced.cycles, "{name}: tracing must not change timing");
+        assert_eq!(base.stats.instrs, traced.instrs, "{name}");
+        assert_eq!(base.stats.packets, traced.packets, "{name}");
+        assert_eq!(base.stats.data_stall_cycles, traced.data_stall_cycles, "{name}");
+        assert_eq!(base.stats.mem_stall_cycles, traced.mem_stall_cycles, "{name}");
+        assert_eq!(base.stats.front_stall_cycles, traced.front_stall_cycles, "{name}");
+        assert_eq!(base.stats.stall_by_reason, traced.stall_by_reason, "{name}");
+    }
 }
 
 #[test]

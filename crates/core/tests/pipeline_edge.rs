@@ -3,7 +3,9 @@
 //! the behaviours paper §3.2/§4 specifies beyond plain dataflow.
 
 use majc_asm::Asm;
-use majc_core::{CycleSim, FuncSim, LocalMemSys, PerfectPort, SimError, TimingConfig, Trap};
+use majc_core::{
+    CycleSim, Event, FuncSim, LocalMemSys, MemSink, PerfectPort, SimError, TimingConfig, Trap,
+};
 use majc_isa::{AluOp, CachePolicy, Cond, Instr, MemWidth, Off, Program, Reg, Src};
 use majc_mem::FlatMem;
 
@@ -365,13 +367,21 @@ fn trace_captures_stalls() {
     a.op(Instr::Alu { op: AluOp::Add, rd: Reg::g(2), rs1: Reg::g(1), src2: Src::Imm(1) });
     a.op(Instr::Halt);
     let prog = a.finish().unwrap();
-    let mut c = CycleSim::new(prog, PerfectPort::new(), TimingConfig::default());
-    c.trace = Some(Vec::new());
+    let mut c = CycleSim::with_sink(
+        prog,
+        PerfectPort::new(),
+        TimingConfig::default(),
+        MemSink::unbounded(),
+    );
     c.run(100).unwrap();
-    let tr = c.trace.as_ref().unwrap();
-    assert!(tr.iter().any(|r| r.operand_wait > 0), "load consumer must record its wait");
-    let rendered = majc_core::render_trace(tr, 16, 70);
-    assert!(rendered.contains('I'), "trace renders issue points:\n{rendered}");
+    let operand_wait = |e: &Event| match e {
+        Event::Issue { stalls, .. } => stalls.operand + stalls.bypass,
+        _ => 0,
+    };
+    assert!(
+        c.sink.events().iter().any(|e| operand_wait(e) > 0),
+        "load consumer must record its wait"
+    );
 }
 
 #[test]

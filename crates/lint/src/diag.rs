@@ -138,17 +138,9 @@ impl Diag {
             s.push_str(",\"cycles_short\":");
             s.push_str(&c.to_string());
         }
-        s.push_str(",\"message\":\"");
-        for ch in self.message.chars() {
-            match ch {
-                '"' => s.push_str("\\\""),
-                '\\' => s.push_str("\\\\"),
-                '\n' => s.push_str("\\n"),
-                c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-                c => s.push(c),
-            }
-        }
-        s.push_str("\"}");
+        s.push_str(",\"message\":");
+        s.push_str(&majc_core::json::quote(&self.message));
+        s.push('}');
         s
     }
 }

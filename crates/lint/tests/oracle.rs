@@ -5,17 +5,21 @@
 //! drift apart without a test failure.
 
 use majc_bench::farm::Farm;
-use majc_core::{BypassModel, CycleSim, PerfectPort, TimingConfig};
+use majc_core::{BypassModel, CycleSim, Event, MemSink, PerfectPort, TimingConfig};
 use majc_isa::gen::{self, GenCfg};
 use majc_isa::{AluOp, Instr, Packet, Program, Reg, SplitMix64, Src};
 use majc_lint::predicted_issue_cycles;
 
 fn actual_issue_cycles(prog: &Program, timing: TimingConfig) -> Vec<u64> {
-    let mut sim = CycleSim::new(prog.clone(), PerfectPort::new(), timing);
-    sim.trace = Some(Vec::new());
+    let mut sim =
+        CycleSim::with_sink(prog.clone(), PerfectPort::new(), timing, MemSink::unbounded());
     sim.run(1_000_000).expect("deterministic program runs clean");
     assert!(sim.halted());
-    sim.issue_cycles().expect("trace was enabled")
+    let issues = sim.sink.events().iter().filter_map(|e| match *e {
+        Event::Issue { at, .. } => Some(at),
+        _ => None,
+    });
+    issues.collect()
 }
 
 fn check_result(prog: &Program, timing: TimingConfig, what: &str) -> Result<(), String> {

@@ -343,7 +343,7 @@ impl MetricsRegistry {
 }
 
 /// Minimal JSON string escaper (the crate stays dependency-free, so it
-/// cannot borrow the one in `majc-bench`).
+/// cannot borrow `majc_core::json::quote`).
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

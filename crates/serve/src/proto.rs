@@ -13,29 +13,10 @@
 //! values are exact up to 2^53, which bounds seeds and budgets. The
 //! decoder rejects anything negative, fractional, or beyond that.
 
-use majc_core::json::{parse, Json};
+use majc_core::json::{parse, quote, Json};
 
 /// Largest integer a JSON `f64` number carries exactly.
 const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-
-/// Escape and quote a string for JSON output.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Which simulator executes a `simulate` job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,21 +121,18 @@ impl Request {
     /// Encode as one JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut s = String::from("{");
-        s.push_str(&format!("\"id\":{}", json_str(self.id())));
+        s.push_str(&format!("\"id\":{}", quote(self.id())));
         match self {
             Request::Stats { .. } => s.push_str(",\"kind\":\"stats\""),
             Request::Shutdown { .. } => s.push_str(",\"kind\":\"shutdown\""),
             Request::Job { spec, .. } => {
-                s.push_str(&format!(",\"kind\":{}", json_str(spec.kind())));
+                s.push_str(&format!(",\"kind\":{}", quote(spec.kind())));
                 match spec {
                     JobSpec::Assemble { source } => {
-                        s.push_str(&format!(",\"source\":{}", json_str(source)));
+                        s.push_str(&format!(",\"source\":{}", quote(source)));
                     }
                     JobSpec::Lint { source, strict } => {
-                        s.push_str(&format!(
-                            ",\"source\":{},\"strict\":{strict}",
-                            json_str(source)
-                        ));
+                        s.push_str(&format!(",\"source\":{},\"strict\":{strict}", quote(source)));
                     }
                     JobSpec::Fuzz { seed, budget } => {
                         s.push_str(&format!(",\"seed\":{seed},\"budget\":{budget}"));
@@ -162,20 +140,20 @@ impl Request {
                     JobSpec::Simulate(sim) => {
                         s.push_str(&format!(
                             ",\"engine\":{},\"budget\":{}",
-                            json_str(sim.engine.name()),
+                            quote(sim.engine.name()),
                             sim.budget
                         ));
                         if let Some(k) = &sim.kernel {
-                            s.push_str(&format!(",\"kernel\":{}", json_str(k)));
+                            s.push_str(&format!(",\"kernel\":{}", quote(k)));
                         }
                         if let Some(src) = &sim.source {
-                            s.push_str(&format!(",\"source\":{}", json_str(src)));
+                            s.push_str(&format!(",\"source\":{}", quote(src)));
                         }
                         if sim.checkpoint {
                             s.push_str(",\"checkpoint\":true");
                         }
                         if let Some(r) = &sim.resume {
-                            s.push_str(&format!(",\"resume\":{}", json_str(r)));
+                            s.push_str(&format!(",\"resume\":{}", quote(r)));
                         }
                     }
                 }
@@ -250,7 +228,7 @@ impl Val {
     fn encode(&self) -> String {
         match self {
             Val::U64(n) => n.to_string(),
-            Val::Str(s) => json_str(s),
+            Val::Str(s) => quote(s),
             Val::Bool(b) => b.to_string(),
         }
     }
@@ -318,12 +296,12 @@ impl Response {
     }
 
     pub fn to_line(&self) -> String {
-        let id = if self.id.is_empty() { "null".to_string() } else { json_str(&self.id) };
+        let id = if self.id.is_empty() { "null".to_string() } else { quote(&self.id) };
         match &self.status {
             Status::Ok(fields) => {
                 let mut s = format!("{{\"id\":{id},\"status\":\"ok\"");
                 for (k, v) in fields {
-                    s.push_str(&format!(",{}:{}", json_str(k), v.encode()));
+                    s.push_str(&format!(",{}:{}", quote(k), v.encode()));
                 }
                 s.push('}');
                 s
@@ -332,12 +310,12 @@ impl Response {
                 format!("{{\"id\":{id},\"status\":\"busy\",\"retry_after_ms\":{retry_after_ms}}}")
             }
             Status::Rejected { reason } => {
-                format!("{{\"id\":{id},\"status\":\"rejected\",\"reason\":{}}}", json_str(reason))
+                format!("{{\"id\":{id},\"status\":\"rejected\",\"reason\":{}}}", quote(reason))
             }
             Status::Failed { kind, detail } => format!(
                 "{{\"id\":{id},\"status\":\"failed\",\"error\":{},\"detail\":{}}}",
-                json_str(kind),
-                json_str(detail)
+                quote(kind),
+                quote(detail)
             ),
         }
     }

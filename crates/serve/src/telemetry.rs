@@ -21,7 +21,7 @@ use std::time::Instant;
 use majc_core::{global_xlate_cache, TraceDoc};
 use majc_obs::{Class, Counter, Gauge, Histogram, JobSpan, MetricsRegistry, Snapshot, SpanLog};
 
-use crate::proto::json_str;
+use majc_core::json::quote;
 
 /// Spans kept in memory per server; beyond this they are dropped and
 /// counted (`spans.dropped` in the wall section).
@@ -145,8 +145,8 @@ pub fn spans_to_perfetto(spans: &[JobSpan]) -> String {
         let args = format!(
             "\"seq\":{},\"id\":{},\"kind\":{},\"depth_at_accept\":{}",
             s.seq,
-            json_str(&s.id),
-            json_str(&s.kind),
+            quote(&s.id),
+            quote(&s.kind),
             s.queue_depth_at_accept
         );
         doc.complete(PID, TID_QUEUE, "queue.wait", s.accept_us, s.queue_wait_us().max(1), &args);
@@ -155,7 +155,7 @@ pub fn spans_to_perfetto(spans: &[JobSpan]) -> String {
         let exec_args = format!(
             "\"seq\":{},\"outcome\":{},\"packets\":{},\"cycles\":{},\"xlate_hit\":{}",
             s.seq,
-            json_str(&s.outcome),
+            quote(&s.outcome),
             s.packets,
             s.cycles,
             match s.xlate_hit {

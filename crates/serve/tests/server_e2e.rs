@@ -409,9 +409,17 @@ fn garbled_lines_get_structured_parse_failures() {
     assert_eq!(r.id, "", "parse failures carry a null id");
     assert!(matches!(&r.status, Status::Failed { kind, .. } if kind == "parse"), "{r:?}");
 
+    // Nesting far past the parser's depth cap is rejected as a parse
+    // failure instead of overflowing the connection thread's stack.
+    let mut deep = vec![b'['; 100_000];
+    deep.push(b'\n');
+    c.send_raw(&deep).unwrap();
+    let r = c.recv().unwrap();
+    assert!(matches!(&r.status, Status::Failed { kind, .. } if kind == "parse"), "{r:?}");
+
     // The connection survives garbage.
     let r = c.request(&job("after-garbage", JobSpec::Fuzz { seed: 3, budget: 100 })).unwrap();
     assert!(matches!(r.status, Status::Ok(_)), "{r:?}");
-    assert_eq!(handle.counters().parse_errors, 1);
+    assert_eq!(handle.counters().parse_errors, 2);
     handle.shutdown();
 }

@@ -9,9 +9,9 @@
 //! must hold exactly: the warm steady state, where every access hits and
 //! the hierarchy has no shared resource left to fight over. Each test runs
 //! a cold pass to fill the caches, opens a new epoch (`new_epoch` keeps
-//! tags, discards in-flight timing), and compares full issue traces of a
-//! fresh measurement pass against standalone [`CycleSim`]s warmed the same
-//! way.
+//! tags, discards in-flight timing), and compares the `Event::Issue`
+//! streams of a fresh measurement pass against standalone cores, each on
+//! its own memory system, warmed the same way.
 //!
 //! The last test is the complement: same-cycle same-line traffic *with a
 //! writer* must be serialized by the port arbiter (counted in
@@ -19,7 +19,7 @@
 //! stores.
 
 use majc_asm::Asm;
-use majc_core::{CpuCore, CycleSim, LocalMemSys, TimingConfig, TraceRec};
+use majc_core::{CpuCore, Event, LocalMemSys, MemSink, TimingConfig};
 use majc_isa::gen::{straightline_program, GenCfg};
 use majc_isa::{AluOp, CachePolicy, Cond, Instr, MemWidth, Off, Program, Reg, SplitMix64, Src};
 use majc_mem::FlatMem;
@@ -28,40 +28,43 @@ use majc_soc::Majc5200;
 /// A comparable projection of one issued packet.
 type Rec = (u8, u32, u64, u8, u32);
 
-fn recs(trace: &[TraceRec]) -> Vec<Rec> {
-    trace.iter().map(|r| (r.ctx, r.pc, r.issue, r.width, r.operand_wait)).collect()
+fn recs(sink: &mut MemSink) -> Vec<Rec> {
+    let issues = sink.events().iter().filter_map(|e| match *e {
+        Event::Issue { ctx, pc, at, width, stalls, .. } => {
+            Some((ctx, pc, at, width, stalls.operand + stalls.bypass))
+        }
+        _ => None,
+    });
+    issues.collect()
 }
 
 /// Warm-run `p` alone on a single-CPU simulator bound to D-cache port
 /// `cpu` and return the steady-state issue trace.
 fn solo_warm_trace(p: &Program, cpu: usize) -> Vec<Rec> {
     let cfg = TimingConfig::default();
-    let mut warm = CycleSim::on_port(p.clone(), LocalMemSys::majc5200(), cfg, cpu);
-    warm.run(1_000_000).expect("solo warm pass");
-    let mut port = warm.port;
+    let mut port = LocalMemSys::majc5200();
+    CpuCore::new(p.clone(), cfg, cpu).run_on(&mut port, 1_000_000).expect("solo warm pass");
     port.new_epoch();
-    let mut sim = CycleSim::on_port(p.clone(), port, cfg, cpu);
-    sim.trace = Some(Vec::new());
-    sim.run(1_000_000).expect("solo measurement pass");
-    recs(sim.trace.as_ref().unwrap())
+    let mut core = CpuCore::with_sink(p.clone(), cfg, cpu, MemSink::unbounded());
+    core.run_on(&mut port, 1_000_000).expect("solo measurement pass");
+    recs(&mut core.sink)
 }
 
 /// Warm-run both programs through the SoC and return both steady-state
 /// issue traces plus the conflict count of the measurement pass.
 fn soc_warm_traces(p0: &Program, p1: &Program) -> ([Vec<Rec>; 2], u64) {
     let cfg = TimingConfig::default();
-    let mut chip = Majc5200::new([p0.clone(), p1.clone()], FlatMem::new(), cfg);
+    let sinks = || [MemSink::unbounded(), MemSink::unbounded()];
+    let mut chip = Majc5200::with_sinks([p0.clone(), p1.clone()], FlatMem::new(), cfg, sinks());
     chip.run(10_000_000).expect("SoC warm pass");
     chip.chip_mut().new_epoch();
     let before = chip.chip().stats.dport_conflicts;
-    chip.cpu = [CpuCore::new(p0.clone(), cfg, 0), CpuCore::new(p1.clone(), cfg, 1)];
-    for core in &mut chip.cpu {
-        core.trace = Some(Vec::new());
-    }
+    let [s0, s1] = sinks();
+    chip.cpu =
+        [CpuCore::with_sink(p0.clone(), cfg, 0, s0), CpuCore::with_sink(p1.clone(), cfg, 1, s1)];
     chip.run(10_000_000).expect("SoC measurement pass");
-    let traces =
-        [recs(chip.cpu[0].trace.as_ref().unwrap()), recs(chip.cpu[1].trace.as_ref().unwrap())];
-    (traces, chip.chip().stats.dport_conflicts - before)
+    let [c0, c1] = &mut chip.cpu;
+    ([recs(&mut c0.sink), recs(&mut c1.sink)], chip.chip().stats.dport_conflicts - before)
 }
 
 /// Disjoint compute-only programs: randomized property over many seeds.
