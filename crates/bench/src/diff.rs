@@ -1,9 +1,11 @@
 //! Random-packet differential fuzzing: functional vs cycle-accurate.
 //!
-//! Both simulators share `exec_slot`, so any architectural divergence —
-//! registers, memory, trap outcome, or retired-packet count — means the
-//! cycle model's scheduling machinery (bypass tracking, LSU, predictor
-//! redirects, trap delivery) corrupted state it must only ever reorder.
+//! The cycle model executes the translated engine's micro-ops, whose
+//! semantics the three-way check below pins to the interpreter's
+//! `exec_slot`, so any architectural divergence — registers, memory, trap
+//! outcome, or retired-packet count — means the cycle model's scheduling
+//! machinery (bypass tracking, LSU, predictor redirects, trap delivery)
+//! corrupted state it must only ever reorder.
 //! Shards generate seeded legal packet streams with [`fuzz_program`], run
 //! both simulators with [`diff_run`], and any failure is shrunk to a
 //! minimal program by the greedy packet-bisection reducer in [`shrink`]

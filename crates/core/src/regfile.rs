@@ -168,10 +168,12 @@ impl WriteSet {
             .filter_map(|&(i, v)| Reg::from_index(i).map(|r| (r, v)))
     }
 
-    /// Apply all buffered writes to the register file.
+    /// Apply all buffered writes to the register file, in push order.
+    #[inline]
     pub fn apply(&self, regs: &mut RegFile) {
-        for (r, v) in self.iter() {
-            regs.set(r, v);
+        // Every index came from `Reg::index` (see `push`/`push_at`).
+        for &(i, v) in &self.entries[..self.len as usize] {
+            regs.v[i as usize] = v;
         }
     }
 

@@ -1,21 +1,29 @@
-//! Decode-once translated execution engine.
+//! Decode-once translated execution: the one decoded image of a program.
 //!
-//! [`FuncSim`](crate::FuncSim) re-resolves every packet on every step:
-//! a binary-search fetch, a packet copy, and a full instruction-form match
-//! per slot. This module lowers an [`Arc<Program>`] *once* into a flat
-//! array of pre-resolved micro-ops — register indices, immediates, packet
-//! widths, and static branch targets are all computed at translation time —
-//! and dispatches them as threaded code (one handler function pointer per
+//! [`FuncSim`](crate::FuncSim) re-resolves every packet on every step: a
+//! fetch, a packet copy, and a full instruction-form match per slot. This
+//! module lowers an [`Arc<Program>`] *once* into a flat array of
+//! pre-resolved micro-ops — register indices, immediates, packet widths,
+//! and static branch targets are all computed at translation time — and
+//! dispatches them as threaded code (one handler function pointer per
 //! micro-op). Packets are chained into superblocks: each translated packet
 //! pre-links its fall-through successor, so straight-line code and
 //! not-taken branches never consult the address map at all, and taken
-//! transfers resolve through an O(1) direct-mapped word index instead of a
-//! binary search.
+//! transfers resolve through [`Program::index_of`], a dense-table lookup.
 //!
-//! Translations are shared through a process-wide cache keyed by the same
-//! FNV-1a digest of the encoded program that the farm and `majc-serve`
-//! already use, so resident workers and farm shards translate each distinct
-//! program exactly once.
+//! A [`Translation`] is also the image the cycle model issues from. Each
+//! translated packet carries the static facts the issue logic needs —
+//! width, slot 0's memory operation, the control kind, and each slot's
+//! latency class and use/def register indices — and
+//! [`CpuCore`](crate::CpuCore) executes a packet through the same
+//! handlers and the same per-packet helper as [`XlateSim::step`].
+//!
+//! Translations for the functional engine are shared through a
+//! process-wide cache keyed by the same FNV-1a digest of the encoded
+//! program that the farm and `majc-serve` already use, so resident workers
+//! and farm shards translate each distinct program exactly once. A cycle
+//! core builds its image uncached: it is constructed far more often than a
+//! digest and a lock are worth.
 //!
 //! The engine is bit-identical to the interpreter by construction and by
 //! enforcement: every specialized handler either reuses the interpreter's
@@ -25,13 +33,17 @@
 //! without a specialized handler falls back to calling `exec_slot` on the
 //! original instruction (kept inline in each micro-op). The three-way
 //! differential fuzzer (`majc_bench::diff`) checks every architectural
-//! counter, trap, and memory image against the interpreter on every CI run.
+//! counter, trap, and memory image against the interpreter on every CI run;
+//! the interpreter, which shares none of this image, stays the independent
+//! semantic oracle.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use majc_isa::fixed;
-use majc_isa::{AluOp, CachePolicy, CvtKind, Instr, MemWidth, Off, Program, Reg, Src};
+use majc_isa::{
+    AluOp, CachePolicy, CvtKind, Instr, LatClass, MemWidth, Off, Packet, Program, Reg, RegList, Src,
+};
 use majc_mem::{fnv1a, fnv1a_extend, DKind, FlatMem};
 
 use crate::exec::{exec_slot, f2i, lane_mac, lane_mul, lane_op, Flow, Trap};
@@ -85,21 +97,80 @@ struct UOp {
     ins: Instr,
 }
 
-/// Translated form of one packet: a span into the micro-op array plus the
-/// packet-level facts the commit path needs.
+/// Slot 0's memory operation, by what the LSU and the cycle model's
+/// counters do with it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MemOp {
+    None,
+    /// `ld`, `cas`, `swap`: counted as loads.
+    Load,
+    /// `st`, `cst`.
+    Store,
+    Prefetch,
+    Membar,
+}
+
+/// Slot 0's control transfer, by how the front end redirects on it.
 #[derive(Clone, Copy)]
-struct XPacket {
+pub(crate) enum Ctrl {
+    /// No redirect (no control instruction, or `halt`).
+    None,
+    /// Conditional branch, predicted by gshare with its static hint.
+    Br { hint: bool },
+    /// Target known at decode: taken bubble only.
+    Call,
+    /// Register-indirect: resolves in execute.
+    Jmpl,
+    /// Trap-register indirect: resolves in the trap stage.
+    Rte,
+}
+
+/// One slot's static issue facts (paper §3.2: every latency but the
+/// scoreboarded ones is compiler-visible), stored parallel to its
+/// micro-op.
+#[derive(Clone, Copy)]
+pub(crate) struct SlotFacts {
+    pub(crate) class: LatClass,
+    pub(crate) uses: RegList,
+    pub(crate) defs: RegList,
+}
+
+/// Translated form of one packet: a span into the micro-op array plus the
+/// packet-level facts the commit and issue paths need.
+#[derive(Clone, Copy)]
+pub(crate) struct XPacket {
     /// First micro-op index.
     first: u32,
     /// Issue width (1-4) — also the micro-op count.
-    width: u8,
+    pub(crate) width: u8,
     /// Committed-branch count (control slots excluding `halt`).
     branch_add: u8,
+    pub(crate) mem: MemOp,
+    pub(crate) ctrl: Ctrl,
     /// Packet size in the instruction stream.
-    bytes: u32,
+    pub(crate) bytes: u32,
     /// Pre-linked fall-through successor index (`NO_IDX` past the end):
     /// the superblock chain for straight-line code.
     fall: u32,
+}
+
+impl XPacket {
+    /// The packet's micro-ops (and slot facts), in FU order.
+    #[inline]
+    fn span(&self) -> std::ops::Range<usize> {
+        self.first as usize..self.first as usize + self.width as usize
+    }
+}
+
+/// What one packet's micro-ops did (see [`Translation::exec_packet`]).
+pub(crate) struct PacketRun {
+    pub(crate) flow: Flow,
+    pub(crate) loads: u64,
+    pub(crate) stores: u64,
+    /// The first trap a slot raised. The write set is then partial and
+    /// must not be applied: trapping instructions are FU0-only and execute
+    /// first, so dropping it squashes the packet precisely.
+    pub(crate) trap: Option<Trap>,
 }
 
 // ---------------------------------------------------------------------
@@ -732,31 +803,49 @@ fn lower(ins: &Instr, pc: u32, fallback: &mut u32) -> UOp {
 // Translation
 // ---------------------------------------------------------------------
 
+/// Slot 0's memory operation (memory instructions sit in slot 0).
+fn mem_op(pkt: &Packet) -> MemOp {
+    match pkt.slot(0) {
+        Some(Instr::Ld { .. } | Instr::Cas { .. } | Instr::Swap { .. }) => MemOp::Load,
+        Some(Instr::St { .. } | Instr::CSt { .. }) => MemOp::Store,
+        Some(Instr::Prefetch { .. }) => MemOp::Prefetch,
+        Some(Instr::Membar) => MemOp::Membar,
+        _ => MemOp::None,
+    }
+}
+
+/// The packet's control kind (control instructions sit in slot 0).
+fn ctrl_kind(pkt: &Packet) -> Ctrl {
+    match pkt.control() {
+        Some(&Instr::Br { hint, .. }) => Ctrl::Br { hint },
+        Some(Instr::Call { .. }) => Ctrl::Call,
+        Some(Instr::Jmpl { .. }) => Ctrl::Jmpl,
+        Some(Instr::Rte) => Ctrl::Rte,
+        _ => Ctrl::None,
+    }
+}
+
 /// A program lowered to micro-ops: immutable, shareable across threads.
 pub struct Translation {
-    digest: u64,
     prog: Arc<Program>,
-    base: u32,
     uops: Vec<UOp>,
+    /// Each micro-op's static issue facts, indexed like `uops`.
+    facts: Vec<SlotFacts>,
     packets: Vec<XPacket>,
-    /// Direct map from word offset (`(pc - base) / 4`) to packet index;
-    /// `NO_IDX` marks interior words and off-program addresses. Replaces
-    /// the interpreter's per-fetch binary search with an O(1) lookup.
-    word_idx: Vec<u32>,
     fallback_uops: u32,
 }
 
 impl Translation {
-    fn build(prog: Arc<Program>, digest: u64) -> Translation {
-        let base = prog.base();
+    /// Lower `prog`: one micro-op and one [`SlotFacts`] per slot, one
+    /// [`XPacket`] per packet.
+    pub(crate) fn build(prog: Arc<Program>) -> Translation {
         let n = prog.len();
-        let words = (prog.len_bytes() / 4) as usize;
-        let mut word_idx = vec![NO_IDX; words];
-        let mut uops = Vec::with_capacity(prog.packets().iter().map(|p| p.width()).sum());
+        let slots = prog.packets().iter().map(|p| p.width()).sum();
+        let mut uops = Vec::with_capacity(slots);
+        let mut facts = Vec::with_capacity(slots);
         let mut packets = Vec::with_capacity(n);
         let mut fallback = 0u32;
-        for i in 0..n {
-            let pkt = &prog.packets()[i];
+        for (i, pkt) in prog.packets().iter().enumerate() {
             let pc = prog.addr_of(i);
             let first = uops.len() as u32;
             let mut branch_add = 0u8;
@@ -765,41 +854,78 @@ impl Translation {
                     branch_add += 1;
                 }
                 uops.push(lower(ins, pc, &mut fallback));
+                facts.push(SlotFacts {
+                    class: ins.lat_class(),
+                    uses: ins.uses(),
+                    defs: ins.defs(),
+                });
             }
-            word_idx[(pc.wrapping_sub(base) >> 2) as usize] = i as u32;
+            let next = pc.wrapping_add(pkt.len_bytes());
             packets.push(XPacket {
                 first,
                 width: pkt.width() as u8,
                 branch_add,
+                mem: mem_op(pkt),
+                ctrl: ctrl_kind(pkt),
                 bytes: pkt.len_bytes(),
-                fall: NO_IDX,
+                fall: prog.index_of(next).map_or(NO_IDX, |j| j as u32),
             });
         }
-        let mut t =
-            Translation { digest, prog, base, uops, packets, word_idx, fallback_uops: fallback };
-        // Second pass: pre-link each packet to its fall-through successor,
-        // chaining straight-line runs into superblocks.
-        for i in 0..n {
-            let next = t.prog.addr_of(i).wrapping_add(t.packets[i].bytes);
-            t.packets[i].fall = t.lookup(next);
-        }
-        t
+        Translation { prog, uops, facts, packets, fallback_uops: fallback }
     }
 
-    /// O(1) packet-index lookup: `NO_IDX` when `pc` is not a packet
-    /// boundary of this program (same judgement as `Program::index_of`).
+    /// [`Program::index_of`] as a raw packet index: `NO_IDX` when `pc` is
+    /// not a packet boundary of this program.
     #[inline]
     fn lookup(&self, pc: u32) -> u32 {
-        let off = pc.wrapping_sub(self.base);
-        if off & 3 != 0 {
-            return NO_IDX;
-        }
-        self.word_idx.get((off >> 2) as usize).copied().unwrap_or(NO_IDX)
+        self.prog.index_of(pc).map_or(NO_IDX, |i| i as u32)
     }
 
-    /// The digest this translation is cached under.
-    pub fn digest(&self) -> u64 {
-        self.digest
+    /// The translated packet at index `idx` (indexed like
+    /// [`Program::packets`]).
+    #[inline]
+    pub(crate) fn packet(&self, idx: usize) -> &XPacket {
+        &self.packets[idx]
+    }
+
+    /// Packet `idx`'s slot facts, in FU order.
+    #[inline]
+    pub(crate) fn slot_facts(&self, idx: usize) -> &[SlotFacts] {
+        &self.facts[self.packets[idx].span()]
+    }
+
+    /// Packet `idx`'s slot-0 instruction.
+    #[inline]
+    pub(crate) fn slot0(&self, idx: usize) -> &Instr {
+        &self.uops[self.packets[idx].first as usize].ins
+    }
+
+    /// Execute packet `idx`, at `pc`, through its micro-ops: every slot
+    /// reads the pre-packet `regs` and buffers its register writes in
+    /// `ws` (cleared first), which the caller applies unless a slot
+    /// trapped. The one execution path of [`XlateSim`] and the cycle
+    /// model.
+    #[inline]
+    pub(crate) fn exec_packet(
+        &self,
+        idx: usize,
+        pc: u32,
+        regs: &RegFile,
+        ws: &mut WriteSet,
+        mem: &mut FlatMem,
+    ) -> PacketRun {
+        let xp = &self.packets[idx];
+        ws.clear();
+        let mut lane =
+            Lane { regs, ws, mem, pc, pkt_bytes: xp.bytes, flow: Flow::Next, loads: 0, stores: 0 };
+        let mut trap = None;
+        for u in &self.uops[xp.span()] {
+            if let Err(t) = (u.f)(&mut lane, u) {
+                trap = Some(t);
+                break;
+            }
+        }
+        PacketRun { flow: lane.flow, loads: lane.loads, stores: lane.stores, trap }
     }
 
     /// The source program.
@@ -910,7 +1036,7 @@ impl XlateCache {
             return (t, true);
         }
         g.misses += 1;
-        let t = Arc::new(Translation::build(Arc::clone(prog), digest));
+        let t = Arc::new(Translation::build(Arc::clone(prog)));
         g.map.insert(digest, Arc::clone(&t));
         if g.map.len() > g.cap {
             // Evict the smallest digest of the union, incoming entry
@@ -1046,32 +1172,12 @@ impl XlateSim {
             self.deliver(Trap::BadPc { pc, target: pc }, pc, pc)?;
             return Ok(true);
         }
-        let xp = self.xl.packets[self.idx as usize];
-        self.ws.clear();
-        let mut trapped: Option<Trap> = None;
-        let mut lane = Lane {
-            regs: &self.regs,
-            ws: &mut self.ws,
-            mem: &mut self.mem,
-            pc,
-            pkt_bytes: xp.bytes,
-            flow: Flow::Next,
-            loads: 0,
-            stores: 0,
-        };
-        let span = xp.first as usize..xp.first as usize + xp.width as usize;
-        for u in &self.xl.uops[span] {
-            if let Err(t) = (u.f)(&mut lane, u) {
-                trapped = Some(t);
-                break;
-            }
-        }
-        let (flow, loads, stores) = (lane.flow, lane.loads, lane.stores);
-        self.stats.loads += loads;
-        self.stats.stores += stores;
-        if let Some(trap) = trapped {
-            // Trapping instructions are FU0-only and execute first, so the
-            // unapplied write set squashes the packet precisely.
+        let idx = self.idx as usize;
+        let run = self.xl.exec_packet(idx, pc, &self.regs, &mut self.ws, &mut self.mem);
+        let xp = *self.xl.packet(idx);
+        self.stats.loads += run.loads;
+        self.stats.stores += run.stores;
+        if let Some(trap) = run.trap {
             self.deliver(trap, pc, pc)?;
             return Ok(true);
         }
@@ -1083,7 +1189,7 @@ impl XlateSim {
             self.stats.slot_instrs[s] += 1;
         }
         self.stats.branches += xp.branch_add as u64;
-        match flow {
+        match run.flow {
             Flow::Next => {
                 self.pc = pc + xp.bytes;
                 self.idx = xp.fall;

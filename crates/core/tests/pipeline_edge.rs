@@ -112,23 +112,162 @@ fn vectored_trap_delivery_recovers_a_misaligned_load() {
 fn trap_handler_can_repair_a_divide_by_zero() {
     use majc_core::TrapPolicy;
     use majc_isa::Packet;
+    let add = |rd: u8, imm: i16| Instr::Alu {
+        op: AluOp::Add,
+        rd: Reg::g(rd),
+        rs1: Reg::g(rd),
+        src2: Src::Imm(imm),
+    };
     let pkts = vec![
         Packet::solo(Instr::SetLo { rd: Reg::g(0), imm: 12 }).unwrap(),
-        Packet::solo(Instr::Div { rd: Reg::g(1), rs1: Reg::g(0), rs2: Reg::g(2) }).unwrap(),
+        // The divide traps in slot 0; slots 1-3 must not commit with it.
+        Packet::new(&[
+            Instr::Div { rd: Reg::g(1), rs1: Reg::g(0), rs2: Reg::g(2) },
+            add(5, 7),
+            Instr::Mul { rd: Reg::g(6), rs1: Reg::g(0), rs2: Reg::g(0) },
+            add(7, 1),
+        ])
+        .unwrap(),
         Packet::solo(Instr::Halt).unwrap(),
-        // handler: install a non-zero divisor, then re-execute the divide.
-        Packet::solo(Instr::SetLo { rd: Reg::g(2), imm: 4 }).unwrap(),
+        // handler: record what slots 1-3 left behind, install a non-zero
+        // divisor, then re-execute the divide.
+        Packet::new(&[
+            Instr::SetLo { rd: Reg::g(2), imm: 4 },
+            Instr::Alu {
+                op: AluOp::Add,
+                rd: Reg::g(10),
+                rs1: Reg::g(5),
+                src2: Src::Reg(Reg::g(7)),
+            },
+            Instr::Alu { op: AluOp::Or, rd: Reg::g(11), rs1: Reg::g(6), src2: Src::Imm(0) },
+        ])
+        .unwrap(),
         Packet::solo(Instr::Rte).unwrap(),
     ];
     let prog = Program::new(0, pkts);
     let vector = prog.addr_of(3);
     let cfg =
         TimingConfig { trap_policy: TrapPolicy::Vector { base: vector }, ..Default::default() };
-    let mut c = CycleSim::new(prog, PerfectPort::new(), cfg);
+    let mut c = CycleSim::new(prog.clone(), PerfectPort::new(), cfg);
     c.run(100).unwrap();
     assert!(c.halted());
     assert_eq!(c.regs(0).get(Reg::g(1)), 3, "retried divide uses the repaired divisor");
     assert_eq!(c.stats.traps, 1);
+    let r = |i: u8| c.regs(0).get(Reg::g(i));
+    assert_eq!((r(10), r(11)), (0, 0), "the trapping packet's write set was not committed");
+    assert_eq!((r(5), r(6), r(7)), (7, 144, 1), "the re-executed packet committed once");
+
+    // Same squash-and-retry on the interpreter.
+    let mut f = FuncSim::new(prog, FlatMem::new());
+    f.set_trap_vector(vector);
+    f.run(100).unwrap();
+    assert!(f.halted());
+    assert_eq!(f.regs.raw(), c.regs(0).raw(), "both simulators commit the same registers");
+}
+
+/// Every instruction form the translation lowers to the generic
+/// `exec_slot` micro-op (group and non-faulting loads, group stores,
+/// conditional stores, prefetch, barrier, atomics, the S2.13 divide
+/// family, `pmuls31`, byte shuffle, bit extract), including one that traps
+/// and is delivered through the vector. The cycle model, on either port,
+/// must reach the interpreter's registers, memory, PC and trap registers.
+#[test]
+fn fallback_forms_reach_the_interpreters_state_on_the_cycle_model() {
+    use majc_core::{global_xlate_cache, TrapPolicy};
+    use majc_isa::Packet;
+    use std::sync::Arc;
+    let set = |rd: u8, imm: i16| Instr::SetLo { rd: Reg::g(rd), imm };
+    let mem_w = |w: MemWidth, pol: CachePolicy, rd: u8, base: u8, off: i16| Instr::Ld {
+        w,
+        pol,
+        rd: Reg::g(rd),
+        base: Reg::g(base),
+        off: Off::Imm(off),
+    };
+    let g = Reg::g;
+    let fallback = [
+        mem_w(MemWidth::G, CachePolicy::Cached, 8, 0, 0),
+        mem_w(MemWidth::W, CachePolicy::NonFaulting, 16, 0, 4),
+        mem_w(MemWidth::W, CachePolicy::NonFaulting, 17, 0, 1), // misaligned: reads zero
+        Instr::St {
+            w: MemWidth::G,
+            pol: CachePolicy::Cached,
+            rs: g(8),
+            base: g(1),
+            off: Off::Imm(0),
+        },
+        Instr::CSt { cond: Cond::Ne, rc: g(2), rs: g(2), base: g(1) },
+        Instr::Prefetch { base: g(0), off: 64 },
+        Instr::Membar,
+        Instr::Cas { rd: g(9), base: g(1), rs: g(2) },
+        Instr::Swap { rd: g(10), base: g(1) },
+        Instr::PRsqrt { rd: g(21), rs: g(3) },
+    ];
+    let mut pkts = vec![
+        Packet::new(&[set(0, 0x100), set(1, 0x200), set(2, 5), set(3, 0x1800)]).unwrap(),
+        Packet::new(&[set(4, 0x0C00), set(5, 0x0102), set(6, 0x0408), set(7, 0x102)]).unwrap(),
+    ];
+    pkts.extend(fallback.iter().map(|&ins| Packet::solo(ins).unwrap()));
+    pkts.push(
+        Packet::new(&[
+            Instr::PDiv { rd: g(20), rs1: g(3), rs2: g(4) },
+            Instr::PMulS31 { rd: g(22), rs1: g(3), rs2: g(4) },
+            Instr::ByteShuf { rd: g(23), rs: g(8), ctl: g(5) },
+            Instr::BitExt { rd: g(24), rs: g(8), ctl: g(6) },
+        ])
+        .unwrap(),
+    );
+    // Misaligned conditional store (the alignment check precedes the
+    // condition): traps; slot 1's write is squashed with it.
+    pkts.push(
+        Packet::new(&[
+            Instr::CSt { cond: Cond::Eq, rc: g(0), rs: g(2), base: g(7) },
+            Instr::Alu { op: AluOp::Add, rd: g(26), rs1: g(26), src2: Src::Imm(1) },
+        ])
+        .unwrap(),
+    );
+    pkts.push(Packet::solo(Instr::Halt).unwrap());
+    let vector_idx = pkts.len();
+    // handler: realign the store address, then retry the faulting packet.
+    pkts.push(
+        Packet::solo(Instr::Alu { op: AluOp::And, rd: g(7), rs1: g(7), src2: Src::Imm(-4) })
+            .unwrap(),
+    );
+    pkts.push(Packet::solo(Instr::Rte).unwrap());
+    let prog = Arc::new(Program::new(0, pkts));
+    let vector = prog.addr_of(vector_idx);
+    // The fallback list, the four-wide packet and the trapping store.
+    assert_eq!(global_xlate_cache().translate(&prog).fallback_uops(), fallback.len() + 5);
+
+    let mut mem = FlatMem::new();
+    for k in 0..16u32 {
+        mem.write_u32(0x100 + 4 * k, 0x0101_0101 * (k + 1));
+    }
+    let mut f = FuncSim::new(Arc::clone(&prog), mem.clone());
+    f.set_trap_vector(vector);
+    f.run(1_000).unwrap();
+    assert!(f.halted());
+    assert_eq!(f.stats.traps, 1);
+    assert_eq!(f.regs.get(g(26)), 1, "the squashed slot committed once, on the retry");
+    assert_ne!(f.regs.get(g(8)), 0, "the group load moved data");
+
+    let cfg =
+        TimingConfig { trap_policy: TrapPolicy::Vector { base: vector }, ..Default::default() };
+    let check = |port: &str, regs: &[u32], pc: u32, trap: &majc_core::TrapRegs, m: &FlatMem| {
+        assert_eq!(regs, f.regs.raw(), "{port}: registers");
+        assert_eq!(pc, f.pc(), "{port}: pc");
+        assert_eq!(trap, f.trap_regs(), "{port}: trap registers");
+        assert_eq!(m.first_diff_detail(&f.mem), None, "{port}: memory");
+    };
+    let mut p = CycleSim::new(Arc::clone(&prog), PerfectPort::new().with_mem(mem.clone()), cfg);
+    p.run(1_000).unwrap();
+    assert!(p.halted());
+    check("perfect", p.regs(0).raw(), p.pc(0), p.trap_regs(0), &p.port.mem);
+    let mut l = CycleSim::new(prog, LocalMemSys::majc5200().with_mem(mem), cfg);
+    l.run(1_000).unwrap();
+    assert!(l.halted());
+    check("local", l.regs(0).raw(), l.pc(0), l.trap_regs(0), &l.port.mem);
+    assert_eq!((p.stats.traps, l.stats.traps), (1, 1));
 }
 
 #[test]

@@ -439,6 +439,19 @@ pub enum LatClass {
 }
 
 impl LatClass {
+    /// Every class, in declaration order: `ALL[c as usize] == c`.
+    pub const ALL: [LatClass; 9] = [
+        LatClass::Single,
+        LatClass::Mul,
+        LatClass::FpSingle,
+        LatClass::FpDouble,
+        LatClass::Div6,
+        LatClass::IDiv,
+        LatClass::Load,
+        LatClass::Store,
+        LatClass::Branch,
+    ];
+
     /// Whether results of this class are protected by the run-time
     /// scoreboard. Paper §3.2: "only the non-deterministic loads and long
     /// latency instructions are interlocked through a score-boarding

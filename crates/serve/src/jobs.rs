@@ -19,7 +19,7 @@ use majc_core::{
 };
 use majc_isa::gen::{self, GenCfg};
 use majc_isa::{Program, SplitMix64};
-use majc_mem::{fnv1a, FaultPlan, FlatMem};
+use majc_mem::{fnv1a, fnv1a_extend, FaultPlan, FlatMem};
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::proto::{Engine, JobSpec, SimSpec, Status, Val};
@@ -293,10 +293,21 @@ fn sim_error(e: SimError) -> Status {
 
 /// FNV-1a over the full architectural state: one CPU context plus the
 /// canonical memory image. Equal digests mean equal machine states.
+///
+/// The value is `fnv1a(cpu ‖ mem.to_snapshot())`, computed in one pass
+/// without building the snapshot: each payload byte feeds both the outer
+/// digest and the snapshot's own trailing digest, which the outer one
+/// absorbs last.
 pub fn arch_digest(cpu: &majc_core::CpuSnap, mem: &FlatMem) -> String {
-    let mut bytes = cpu.to_bytes();
-    bytes.extend_from_slice(&mem.to_snapshot());
-    format!("{:016x}", fnv1a(&bytes))
+    let mut outer = fnv1a(&cpu.to_bytes());
+    let mut inner = fnv1a(&[]);
+    mem.visit_snapshot_payload(|piece| {
+        for byte in piece.chunks(1) {
+            outer = fnv1a_extend(outer, byte);
+            inner = fnv1a_extend(inner, byte);
+        }
+    });
+    format!("{:016x}", fnv1a_extend(outer, &inner.to_le_bytes()))
 }
 
 /// How one fuzz-side run ended, for outcome comparison.

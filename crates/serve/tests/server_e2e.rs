@@ -1,10 +1,10 @@
 //! End-to-end daemon tests over real sockets: every job kind, the
 //! watchdog-backed deadline path, backpressure, graceful drain, and
 //! checkpoint/resume digest equality — including resuming a func-engine
-//! checkpoint on the cycle engine (both execute the same `exec_slot`
-//! semantics, so the architectural digest must agree).
+//! checkpoint on the cycle engine (both execute the same translated
+//! micro-ops, so the architectural digest must agree).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use majc_serve::{
     server, Client, Engine, JobSpec, Request, Response, ServeConfig, SimSpec, Status, Val,
@@ -52,6 +52,29 @@ fn slow_source(outer: u32) -> String {
          br.gt.t g2, outer\n\
          halt\n"
     )
+}
+
+/// `slow_source` outer count that holds a worker for about two seconds in
+/// either build profile: far longer than the `stats` polls of
+/// `wait_for_queue`, so the occupied worker cannot free up mid-test.
+const OCCUPY_OUTER: u32 = if cfg!(debug_assertions) { 150 } else { 1000 };
+
+/// Poll the `stats` verb on `probe` (a connection of its own) until the
+/// server has admitted `admitted` jobs and its queue holds `depth` of
+/// them. With every admitted job but `depth` popped, this is how a test
+/// knows the worker took a job, instead of guessing with a sleep.
+fn wait_for_queue(probe: &mut Client, admitted: u64, depth: u64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let r = probe.request(&Request::Stats { id: "probe".into() }).unwrap();
+        let stat = |name| r.field(name).and_then(Val::as_u64).expect("stats field");
+        let now = (stat("admitted"), stat("queue_depth"));
+        if now == (admitted, depth) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "queue never reached {:?}: {now:?}", (admitted, depth));
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn slow_job(id: &str, outer: u32) -> Request {
@@ -152,12 +175,13 @@ fn deadline_turns_runaway_programs_into_structured_hang() {
 fn full_queue_answers_busy_with_declared_backoff() {
     let handle = start(1, 1);
     let mut c = Client::connect(handle.addr()).unwrap();
+    let mut probe = Client::connect(handle.addr()).unwrap();
 
     // Occupy the single worker, then the single queue slot.
-    c.send(&slow_job("occupy", 150)).unwrap();
-    std::thread::sleep(Duration::from_millis(100)); // worker pops it
+    c.send(&slow_job("occupy", OCCUPY_OUTER)).unwrap();
+    wait_for_queue(&mut probe, 1, 0); // worker popped it
     c.send(&slow_job("queued", 1)).unwrap();
-    std::thread::sleep(Duration::from_millis(50)); // reaches the queue
+    wait_for_queue(&mut probe, 2, 1); // it sits in the queue
     c.send(&job("turned-away", JobSpec::Fuzz { seed: 1, budget: 100 })).unwrap();
 
     // The busy answer comes from the connection thread immediately; the
@@ -186,16 +210,16 @@ fn full_queue_answers_busy_with_declared_backoff() {
 fn graceful_drain_finishes_inflight_and_rejects_backlog() {
     let handle = start(1, 4);
     let mut a = Client::connect(handle.addr()).unwrap();
+    let mut b = Client::connect(handle.addr()).unwrap();
 
     // One long job in flight, two queued behind it.
-    a.send(&slow_job("inflight", 150)).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    a.send(&slow_job("inflight", OCCUPY_OUTER)).unwrap();
+    wait_for_queue(&mut b, 1, 0);
     a.send(&slow_job("backlog-1", 1)).unwrap();
     a.send(&slow_job("backlog-2", 1)).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_queue(&mut b, 3, 2);
 
     // Shutdown arrives on a second connection (like an operator would).
-    let mut b = Client::connect(handle.addr()).unwrap();
     let r = b.request(&Request::Shutdown { id: "op".into() }).unwrap();
     assert!(matches!(r.status, Status::Ok(_)));
 

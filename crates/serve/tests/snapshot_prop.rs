@@ -6,7 +6,7 @@
 
 use majc_core::{CpuSnap, FuncSim, TrapRegs};
 use majc_isa::{SplitMix64, NUM_REGS};
-use majc_mem::FlatMem;
+use majc_mem::{fnv1a, FlatMem};
 use majc_serve::jobs::{arch_digest, fuzz_program};
 use majc_serve::Checkpoint;
 
@@ -126,4 +126,45 @@ fn mid_run_checkpoints_replay_to_identical_digests() {
         }
     }
     assert!(exercised >= 30, "property needs coverage; only {exercised} splits ran");
+}
+
+/// `arch_digest` of six suite kernels' end states (interpreter, run to
+/// halt), recorded with the original formula: `fnv1a` over the CPU bytes
+/// followed by the materialised memory snapshot.
+#[test]
+fn arch_digest_pins_kernel_end_states() {
+    const PINNED: [(&str, &str); 6] = [
+        ("biquad", "987108768e6c067e"),
+        ("fir", "436a0349fcb21951"),
+        ("maxsearch", "46e283b5d52da692"),
+        ("fft-radix2", "7c705e109ab61f46"),
+        ("vld", "94a1b3d88d8eb3b6"),
+        ("dmatmul", "7062a347ace010d4"),
+    ];
+    let cases = majc_kernels::suite::fast_cases();
+    for (name, want) in PINNED {
+        let c = cases.iter().find(|c| c.name == name).expect("suite kernel");
+        let mut fs = FuncSim::new(c.prog.clone(), c.mem.clone());
+        fs.run_to_halt(100_000_000).unwrap();
+        assert_eq!(arch_digest(&fs.capture(), &fs.mem), want, "{name}");
+    }
+}
+
+/// The one-pass `arch_digest` equals the two-pass formula it replaced on
+/// seeded random images, the empty image included.
+#[test]
+fn arch_digest_equals_the_two_pass_formula() {
+    let two_pass = |cpu: &CpuSnap, mem: &FlatMem| {
+        let mut bytes = cpu.to_bytes();
+        bytes.extend_from_slice(&mem.to_snapshot());
+        format!("{:016x}", fnv1a(&bytes))
+    };
+    for seed in 0..40u64 {
+        let state = random_state(seed);
+        for cpu in &state.cpus {
+            assert_eq!(arch_digest(cpu, &state.mem), two_pass(cpu, &state.mem), "seed {seed}");
+            let empty = FlatMem::new();
+            assert_eq!(arch_digest(cpu, &empty), two_pass(cpu, &empty), "seed {seed}, empty");
+        }
+    }
 }
