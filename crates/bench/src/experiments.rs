@@ -678,7 +678,7 @@ pub fn faults() -> Table {
     t.push(Row::new(
         "faults injected",
         "-",
-        k(sim.port.fault_events().len() as u64),
+        k(sim.port.fault_events_iter().count() as u64),
         format!("seed {SEED:#x}"),
     ));
     t.push(Row::new(

@@ -434,7 +434,7 @@ pub fn run_soak(name: &str, prog: &Arc<Program>, mem: &FlatMem, fault_seed: u64)
             .unwrap_or_else(|e| panic!("{name}: fault soak pass {pass} failed: {e}"));
         assert!(sim.halted(), "{name}: fault soak pass {pass} did not halt");
         let divergence = oracle.first_diff_detail(&sim.port.mem);
-        let trace = sim.port.fault_events();
+        let trace: Vec<_> = sim.port.fault_events_iter().copied().collect();
         passes.push((trace, divergence, sim.stats));
     }
     assert_eq!(passes[0].0, passes[1].0, "{name}: same seed must replay the identical fault trace");

@@ -55,7 +55,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use majc_isa::{Instr, LatClass, Program, NUM_REGS};
-use majc_mem::DPolicy;
+use majc_mem::{DKind, DPolicy};
 
 use crate::config::{TimingConfig, TrapPolicy};
 use crate::events::{Event, NullSink, PacketStalls, RedirectKind, StallReason, TraceSink};
@@ -665,7 +665,7 @@ impl<S: TraceSink> CpuCore<S> {
         // The architectural address: recompute cheaply from register state.
         let regs = &self.contexts[ci].regs;
         use majc_isa::{Instr::*, Off};
-        let (addr, kind) = match *ins {
+        let (addr, kind, pol) = match *ins {
             Ld { base, off, pol, .. } | St { base, off, pol, .. } => {
                 let a = match off {
                     Off::Imm(i) => regs.get(base).wrapping_add(i as i32 as u32),
@@ -677,39 +677,29 @@ impl<S: TraceSink> CpuCore<S> {
                     majc_isa::CachePolicy::NonAllocating => DPolicy::NonAllocating,
                     majc_isa::CachePolicy::NonFaulting => DPolicy::Cached,
                 };
-                (a, (matches!(ins, Ld { .. }), pol))
+                let kind = if matches!(ins, Ld { .. }) { DKind::Load } else { DKind::Store };
+                (a, kind, pol)
             }
-            CSt { base, .. } => (regs.get(base), (false, DPolicy::Cached)),
+            CSt { base, .. } => (regs.get(base), DKind::Store, DPolicy::Cached),
             Prefetch { base, off } => {
                 let a = regs.get(base).wrapping_add(off as i32 as u32) & !31;
                 self.lsu.prefetch(*t, a, port, self.cpu, &mut self.sink);
                 return Ok(None);
             }
-            Membar => return Ok(None),
             Cas { base, .. } | Swap { base, .. } => {
-                let a = regs.get(base);
-                for _ in 0..RETRY_BOUND {
-                    match self.lsu.atomic(*t, a, port, self.cpu, &mut self.sink) {
-                        Ok(avail) => return Ok(Some(avail)),
-                        Err(LsuStall::Retry { retry_at }) => *t = retry_at.max(*t + 1),
-                        Err(LsuStall::DataError) => {
-                            return Err(Trap::DataError { pc, addr: a }.into())
-                        }
-                    }
-                }
-                return Err(SimError::Hang { at: *t, pcs: vec![pc] });
+                (regs.get(base), DKind::Atomic, DPolicy::Cached)
             }
             _ => return Ok(None),
         };
-        let (is_load, pol) = kind;
         for _ in 0..RETRY_BOUND {
-            let res = if is_load {
-                self.lsu.load(*t, addr, pol, port, self.cpu, &mut self.sink)
-            } else {
-                self.lsu.store(*t, addr, pol, port, self.cpu, &mut self.sink).map(|_| 0)
+            let (lsu, cpu, sink) = (&mut self.lsu, self.cpu, &mut self.sink);
+            let res = match kind {
+                DKind::Load => lsu.load(*t, addr, pol, port, cpu, sink),
+                DKind::Store => lsu.store(*t, addr, pol, port, cpu, sink).map(|_| 0),
+                _ => lsu.atomic(*t, addr, port, cpu, sink),
             };
             match res {
-                Ok(avail) => return Ok(is_load.then_some(avail)),
+                Ok(avail) => return Ok((kind != DKind::Store).then_some(avail)),
                 Err(LsuStall::Retry { retry_at }) => *t = retry_at.max(*t + 1),
                 Err(LsuStall::DataError) => return Err(Trap::DataError { pc, addr }.into()),
             }

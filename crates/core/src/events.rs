@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 pub use majc_mem::Served;
-use majc_mem::{DKind, FaultEvent, FaultSite};
+use majc_mem::{DKind, DramSpanRec, FaultEvent, FaultSite};
 
 /// Number of stall-attribution buckets in [`StallReason`].
 pub const NUM_STALL_REASONS: usize = 9;
@@ -255,6 +255,12 @@ impl Event {
     /// Convert a memory-side fault record.
     pub fn from_fault(ev: &FaultEvent) -> Event {
         Event::Fault { site: ev.site, seq: ev.seq, at: ev.now, addr: ev.addr }
+    }
+
+    /// Convert a DRDRAM busy-span record.
+    pub fn from_dram_span(r: DramSpanRec) -> Event {
+        let DramSpanRec { start, done, addr, bytes, write } = r;
+        Event::DramSpan { start, done, addr, bytes, write }
     }
 
     /// One stable, dependency-free JSON object per event (field order is

@@ -53,7 +53,7 @@ pub use regfile::{RegFile, WriteSet};
 pub use snapshot::{CpuSnap, CPU_SNAP_BYTES};
 pub use stats::CycleStats;
 pub use trap::{SimError, TrapRegs};
-pub use txn::{Completion, MemLevelStats, MemPort, MemReq, MemResp, Reject, Tag};
+pub use txn::{Completion, MemLevelStats, MemPort, MemReq, MemResp, Reject};
 pub use xlate::{
     global_xlate_cache, program_digest, Translation, XlateCache, XlateCacheStats, XlateSim,
     XLATE_CACHE_CAP,

@@ -9,21 +9,23 @@
 //!
 //! The four-miss limit lives in the D-cache MSHR file ([`majc_mem::DCache`]);
 //! this module models the load/store buffers, the CPU's single cache port,
-//! store draining, and barrier semantics. Each operation is a tagged
-//! transaction on the [`MemPort`]: the LSU submits a [`MemReq`], the port
-//! either rejects it (structural, retried) or answers with a [`MemResp`]
-//! that the LSU matches by tag against its buffers — entries retire
-//! individually as their completion cycle passes, which is how out-of-order
+//! store draining, and barrier semantics. Each operation is one transaction
+//! on the [`MemPort`]: the LSU submits a [`MemReq`], and the port either
+//! rejects it (structural, retried) or returns its
+//! [`MemResp`](crate::txn::MemResp). Each buffer entry keeps the completion
+//! cycle of its response and retires when that cycle passes, so entries
+//! leave in completion order, not issue order — which is how out-of-order
 //! miss returns are modeled.
 //!
 //! Every operation takes the caller's [`TraceSink`]: transaction lifecycles
 //! ([`Event::MemTxn`]) and structural bounces ([`Event::MemRetry`]) are
-//! emitted here, keyed by the same tags the buffers match on.
+//! emitted here. Each submit attempt takes the next tag, which names the
+//! transaction in the trace.
 
-use majc_mem::{DKind, DPolicy};
+use majc_mem::{DKind, DPolicy, Served};
 
 use crate::events::{Event, RetryReason, TraceSink};
-use crate::txn::{MemPort, MemReq, MemResp, Reject, Tag};
+use crate::txn::{MemPort, MemReq, Reject};
 
 /// First LSU transaction tag. The LSU is the only issuer of tags, so any
 /// base would do; this one keeps the tags in recorded traces stable.
@@ -58,25 +60,17 @@ pub enum LsuStall {
     DataError,
 }
 
-/// One outstanding transaction in a load/store buffer.
-#[derive(Clone, Copy, Debug)]
-struct InFlight {
-    #[allow(dead_code)] // identifies the entry in traces/debugging
-    tag: Tag,
-    /// Completion cycle carried by the matched response.
-    done: u64,
-}
-
 /// Timing state of one CPU's LSU.
 #[derive(Clone, Debug)]
 pub struct Lsu {
     load_buf: usize,
     store_buf: usize,
-    /// In-flight loads (out-of-order returns: entries retire individually
-    /// as their data arrives).
-    loads: Vec<InFlight>,
-    /// Stores drained to the cache but not yet globally performed.
-    stores: Vec<InFlight>,
+    /// Completion cycles of in-flight loads (out-of-order returns: entries
+    /// retire individually as their data arrives).
+    loads: Vec<u64>,
+    /// Completion cycles of stores drained to the cache but not yet
+    /// globally performed.
+    stores: Vec<u64>,
     /// Next cycle the CPU's data-cache port is free.
     port_next: u64,
     /// Next transaction tag (LSU space).
@@ -97,15 +91,9 @@ impl Lsu {
         }
     }
 
-    fn fresh_tag(&mut self) -> Tag {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        Tag(t)
-    }
-
     fn reap(&mut self, now: u64) {
-        self.loads.retain(|e| e.done > now);
-        self.stores.retain(|e| e.done > now);
+        self.loads.retain(|&done| done > now);
+        self.stores.retain(|&done| done > now);
     }
 
     /// Outstanding loads (for microthreading decisions and tests).
@@ -117,25 +105,10 @@ impl Lsu {
         self.stores.len()
     }
 
-    /// Drain the response queue until the reply tagged `want` arrives.
-    /// Unclaimed prefetch replies encountered on the way are dropped (they
-    /// are non-binding); anything else unclaimed is a port-protocol bug.
-    fn collect(&mut self, port: &mut dyn MemPort, cpu: usize, want: Tag) -> MemResp {
-        loop {
-            let resp = port.pop_resp(cpu).expect("accepted request must produce a response");
-            if resp.tag == want {
-                return resp;
-            }
-            debug_assert_eq!(
-                resp.kind,
-                DKind::Prefetch,
-                "only prefetch responses may go unclaimed"
-            );
-        }
-    }
-
-    fn data_req(&mut self, cpu: usize, addr: u32, kind: DKind, policy: DPolicy) -> MemReq {
-        MemReq { cpu: cpu as u8, addr, kind, policy, tag: self.fresh_tag() }
+    /// The tag naming the next submit attempt.
+    fn fresh_tag(&mut self) -> u64 {
+        self.next_tag += 1;
+        self.next_tag - 1
     }
 
     /// Issue a load at cycle `t`. Returns the cycle its data is available.
@@ -152,65 +125,44 @@ impl Lsu {
         if self.loads.len() >= self.load_buf {
             self.stats.load_buf_stalls += 1;
             // Retry when the earliest outstanding load returns.
-            let retry = self.loads.iter().map(|e| e.done).min().unwrap_or(t + 1).max(t + 1);
-            sink.emit(&Event::MemRetry {
-                cpu: cpu as u8,
-                addr,
-                at: t,
-                retry_at: retry,
-                reason: RetryReason::LoadBuf,
-            });
-            return Err(LsuStall::Retry { retry_at: retry });
+            let retry = first_free(&self.loads, t);
+            return Err(bounce(sink, cpu, addr, t, retry, RetryReason::LoadBuf));
         }
-        let at = t.max(self.port_next);
-        let req = self.data_req(cpu, addr, DKind::Load, pol);
-        match port.submit(at, req) {
-            Ok(()) => {
-                let resp = self.collect(port, cpu, req.tag);
-                match resp.completion {
-                    crate::txn::Completion::Done { at: avail } => {
-                        self.port_next = at + 1;
-                        self.loads.push(InFlight { tag: req.tag, done: avail });
-                        self.stats.loads += 1;
-                        self.stats.load_buf_peak =
-                            self.stats.load_buf_peak.max(self.loads.len() as u64);
-                        sink.emit(&Event::MemTxn {
-                            cpu: cpu as u8,
-                            tag: req.tag.0,
-                            addr,
-                            kind: DKind::Load,
-                            served: resp.served,
-                            at,
-                            done: avail,
-                            fault: false,
-                        });
-                        Ok(avail)
-                    }
-                    crate::txn::Completion::Fault => {
-                        sink.emit(&Event::MemTxn {
-                            cpu: cpu as u8,
-                            tag: req.tag.0,
-                            addr,
-                            kind: DKind::Load,
-                            served: resp.served,
-                            at,
-                            done: at,
-                            fault: true,
-                        });
-                        Err(LsuStall::DataError)
-                    }
+        self.load_like(t.max(self.port_next), addr, DKind::Load, pol, port, cpu, sink)
+    }
+
+    /// Submit a load or an atomic at port cycle `at` and enter it in the
+    /// load buffer. Returns the cycle its data is available.
+    #[allow(clippy::too_many_arguments)]
+    fn load_like<S: TraceSink>(
+        &mut self,
+        at: u64,
+        addr: u32,
+        kind: DKind,
+        pol: DPolicy,
+        port: &mut dyn MemPort,
+        cpu: usize,
+        sink: &mut S,
+    ) -> Result<u64, LsuStall> {
+        let tag = self.fresh_tag();
+        match port.submit(at, MemReq { cpu: cpu as u8, addr, kind, policy: pol }) {
+            Ok(resp) => {
+                let avail = resp.completion.done();
+                emit_txn(sink, cpu, tag, addr, kind, at, resp.served, avail);
+                let avail = avail.ok_or(LsuStall::DataError)?;
+                self.port_next = at + 1;
+                self.loads.push(avail);
+                if kind == DKind::Atomic {
+                    self.stats.atomics += 1;
+                } else {
+                    self.stats.loads += 1;
                 }
+                self.stats.load_buf_peak = self.stats.load_buf_peak.max(self.loads.len() as u64);
+                Ok(avail)
             }
             Err(Reject { retry_at }) => {
                 self.stats.mshr_stalls += 1;
-                sink.emit(&Event::MemRetry {
-                    cpu: cpu as u8,
-                    addr,
-                    at,
-                    retry_at,
-                    reason: RetryReason::Mshr,
-                });
-                Err(LsuStall::Retry { retry_at })
+                Err(bounce(sink, cpu, addr, at, retry_at, RetryReason::Mshr))
             }
         }
     }
@@ -230,66 +182,28 @@ impl Lsu {
         self.reap(t);
         if self.stores.len() >= self.store_buf {
             self.stats.store_buf_stalls += 1;
-            let retry = self.stores.iter().map(|e| e.done).min().unwrap_or(t + 1).max(t + 1);
-            sink.emit(&Event::MemRetry {
-                cpu: cpu as u8,
-                addr,
-                at: t,
-                retry_at: retry,
-                reason: RetryReason::StoreBuf,
-            });
-            return Err(LsuStall::Retry { retry_at: retry });
+            let retry = first_free(&self.stores, t);
+            return Err(bounce(sink, cpu, addr, t, retry, RetryReason::StoreBuf));
         }
         // Drain: first port slot after issue.
         let mut at = (t + 1).max(self.port_next);
         for _ in 0..100_000 {
-            let req = self.data_req(cpu, addr, DKind::Store, pol);
-            match port.submit(at, req) {
-                Ok(()) => {
-                    let resp = self.collect(port, cpu, req.tag);
-                    match resp.completion {
-                        crate::txn::Completion::Done { at: done } => {
-                            self.port_next = at + 1;
-                            let done = done.max(at);
-                            self.stores.push(InFlight { tag: req.tag, done });
-                            self.stats.stores += 1;
-                            self.stats.store_buf_peak =
-                                self.stats.store_buf_peak.max(self.stores.len() as u64);
-                            sink.emit(&Event::MemTxn {
-                                cpu: cpu as u8,
-                                tag: req.tag.0,
-                                addr,
-                                kind: DKind::Store,
-                                served: resp.served,
-                                at,
-                                done,
-                                fault: false,
-                            });
-                            return Ok(done);
-                        }
-                        crate::txn::Completion::Fault => {
-                            sink.emit(&Event::MemTxn {
-                                cpu: cpu as u8,
-                                tag: req.tag.0,
-                                addr,
-                                kind: DKind::Store,
-                                served: resp.served,
-                                at,
-                                done: at,
-                                fault: true,
-                            });
-                            return Err(LsuStall::DataError);
-                        }
-                    }
+            let tag = self.fresh_tag();
+            match port.submit(at, MemReq { cpu: cpu as u8, addr, kind: DKind::Store, policy: pol })
+            {
+                Ok(resp) => {
+                    let done = resp.completion.done().map(|d| d.max(at));
+                    emit_txn(sink, cpu, tag, addr, DKind::Store, at, resp.served, done);
+                    let done = done.ok_or(LsuStall::DataError)?;
+                    self.port_next = at + 1;
+                    self.stores.push(done);
+                    self.stats.stores += 1;
+                    self.stats.store_buf_peak =
+                        self.stats.store_buf_peak.max(self.stores.len() as u64);
+                    return Ok(done);
                 }
                 Err(Reject { retry_at }) => {
-                    sink.emit(&Event::MemRetry {
-                        cpu: cpu as u8,
-                        addr,
-                        at,
-                        retry_at,
-                        reason: RetryReason::Mshr,
-                    });
+                    bounce(sink, cpu, addr, at, retry_at, RetryReason::Mshr);
                     at = retry_at.max(at + 1);
                 }
             }
@@ -312,56 +226,7 @@ impl Lsu {
         let ordered = self.quiesce_time().max(t);
         self.reap(ordered);
         let at = ordered.max(self.port_next);
-        let req = self.data_req(cpu, addr, DKind::Atomic, DPolicy::Cached);
-        match port.submit(at, req) {
-            Ok(()) => {
-                let resp = self.collect(port, cpu, req.tag);
-                match resp.completion {
-                    crate::txn::Completion::Done { at: avail } => {
-                        self.port_next = at + 1;
-                        self.loads.push(InFlight { tag: req.tag, done: avail });
-                        self.stats.atomics += 1;
-                        self.stats.load_buf_peak =
-                            self.stats.load_buf_peak.max(self.loads.len() as u64);
-                        sink.emit(&Event::MemTxn {
-                            cpu: cpu as u8,
-                            tag: req.tag.0,
-                            addr,
-                            kind: DKind::Atomic,
-                            served: resp.served,
-                            at,
-                            done: avail,
-                            fault: false,
-                        });
-                        Ok(avail)
-                    }
-                    crate::txn::Completion::Fault => {
-                        sink.emit(&Event::MemTxn {
-                            cpu: cpu as u8,
-                            tag: req.tag.0,
-                            addr,
-                            kind: DKind::Atomic,
-                            served: resp.served,
-                            at,
-                            done: at,
-                            fault: true,
-                        });
-                        Err(LsuStall::DataError)
-                    }
-                }
-            }
-            Err(Reject { retry_at }) => {
-                self.stats.mshr_stalls += 1;
-                sink.emit(&Event::MemRetry {
-                    cpu: cpu as u8,
-                    addr,
-                    at,
-                    retry_at,
-                    reason: RetryReason::Mshr,
-                });
-                Err(LsuStall::Retry { retry_at })
-            }
-        }
+        self.load_like(at, addr, DKind::Atomic, DPolicy::Cached, port, cpu, sink)
     }
 
     /// Queue a non-faulting prefetch; never stalls the pipeline.
@@ -375,34 +240,65 @@ impl Lsu {
     ) {
         let at = t.max(self.port_next);
         self.stats.prefetches += 1;
-        let req = self.data_req(cpu, addr, DKind::Prefetch, DPolicy::Cached);
-        // Dropped silently on structural conflicts (non-binding); the reply
-        // is consumed and discarded — nothing waits on a prefetch.
-        if port.submit(at, req).is_ok() {
-            let resp = self.collect(port, cpu, req.tag);
+        // Dropped silently on structural conflicts (non-binding), and
+        // nothing waits on one that was accepted.
+        let tag = self.fresh_tag();
+        let req = MemReq { cpu: cpu as u8, addr, kind: DKind::Prefetch, policy: DPolicy::Cached };
+        if let Ok(resp) = port.submit(at, req) {
             self.port_next = at + 1;
-            let (done, fault) = match resp.completion {
-                crate::txn::Completion::Done { at: d } => (d, false),
-                crate::txn::Completion::Fault => (at, true),
-            };
-            sink.emit(&Event::MemTxn {
-                cpu: cpu as u8,
-                tag: req.tag.0,
-                addr,
-                kind: DKind::Prefetch,
-                served: resp.served,
-                at,
-                done,
-                fault,
-            });
+            let done = resp.completion.done();
+            emit_txn(sink, cpu, tag, addr, DKind::Prefetch, at, resp.served, done);
         }
     }
 
     /// Cycle by which every outstanding load and store completes — the
     /// memory-barrier wait condition.
     pub fn quiesce_time(&self) -> u64 {
-        self.loads.iter().chain(self.stores.iter()).map(|e| e.done).max().unwrap_or(0)
+        self.loads.iter().chain(self.stores.iter()).copied().max().unwrap_or(0)
     }
+}
+
+/// When a full buffer frees an entry: its earliest completion, after `t`.
+fn first_free(buf: &[u64], t: u64) -> u64 {
+    buf.iter().copied().min().unwrap_or(t + 1).max(t + 1)
+}
+
+/// Report a structural bounce at `at` and return it as a stall.
+fn bounce<S: TraceSink>(
+    sink: &mut S,
+    cpu: usize,
+    addr: u32,
+    at: u64,
+    retry_at: u64,
+    reason: RetryReason,
+) -> LsuStall {
+    sink.emit(&Event::MemRetry { cpu: cpu as u8, addr, at, retry_at, reason });
+    LsuStall::Retry { retry_at }
+}
+
+/// Report one accepted transaction: `done` is its completion cycle, or
+/// `None` for a fault (reported as completing at `at`).
+#[allow(clippy::too_many_arguments)]
+fn emit_txn<S: TraceSink>(
+    sink: &mut S,
+    cpu: usize,
+    tag: u64,
+    addr: u32,
+    kind: DKind,
+    at: u64,
+    served: Served,
+    done: Option<u64>,
+) {
+    sink.emit(&Event::MemTxn {
+        cpu: cpu as u8,
+        tag,
+        addr,
+        kind,
+        served,
+        at,
+        done: done.unwrap_or(at),
+        fault: done.is_none(),
+    });
 }
 
 #[cfg(test)]
@@ -429,6 +325,25 @@ mod tests {
         let e = lsu.load(0, 4 * 0x1000, DPolicy::Cached, &mut p, 0, &mut NullSink).unwrap_err();
         assert!(matches!(e, LsuStall::Retry { retry_at } if retry_at > 0));
         assert_eq!(lsu.stats.mshr_stalls, 1);
+        assert_eq!(lsu.loads_in_flight(), 4, "the bounced load holds no buffer entry");
+        assert_eq!(p.dcache.outstanding(), 4, "nor an MSHR");
+    }
+
+    #[test]
+    fn entries_retire_in_completion_order() {
+        let mut lsu = Lsu::new(5, 8);
+        let mut p = port();
+        let warm = lsu.load(0, 0, DPolicy::Cached, &mut p, 0, &mut NullSink).unwrap();
+        let t = warm + 1;
+        // A miss, then a hit issued after it that returns first.
+        let miss = lsu.load(t, 0x4000, DPolicy::Cached, &mut p, 0, &mut NullSink).unwrap();
+        let hit = lsu.load(t, 4, DPolicy::Cached, &mut p, 0, &mut NullSink).unwrap();
+        assert!(hit < miss, "hit {hit} returns before miss {miss}");
+        lsu.reap(hit);
+        assert_eq!(lsu.loads_in_flight(), 1, "only the miss is still in flight");
+        assert_eq!(lsu.quiesce_time(), miss);
+        lsu.reap(miss);
+        assert_eq!(lsu.loads_in_flight(), 0);
     }
 
     #[test]
@@ -507,10 +422,16 @@ mod tests {
             .iter()
             .any(|e| matches!(e, Event::MemRetry { reason: RetryReason::Mshr, .. })));
         // Tags come from the LSU space and count up.
-        let first = events.iter().find_map(|e| match e {
-            Event::MemTxn { tag, .. } => Some(*tag),
-            _ => None,
-        });
-        assert_eq!(first, Some(LSU_TAG_BASE));
+        let tags: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::MemTxn { tag, .. } => Some(*tag),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tags, (LSU_TAG_BASE..LSU_TAG_BASE + 4).collect::<Vec<_>>());
+        // The bounced attempt took a tag too: the next transaction follows it.
+        lsu.load(lsu.quiesce_time(), 0x40, DPolicy::Cached, &mut p, 0, &mut sink).unwrap();
+        assert!(matches!(sink.take()[..], [Event::MemTxn { tag, .. }] if tag == LSU_TAG_BASE + 5));
     }
 }

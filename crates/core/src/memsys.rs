@@ -6,8 +6,6 @@
 //! effects" accounting. All of them speak [`MemPort`], so [`crate::CycleSim`]
 //! stays generic over the memory system.
 
-use std::collections::VecDeque;
-
 use majc_mem::{
     DCache, DCacheConfig, DStall, Dram, DramConfig, FaultEvent, FaultPlan, FaultSite, FlatMem,
     ICache, ICacheConfig, MemBackend, PerfectMem, Served,
@@ -54,8 +52,6 @@ pub struct LocalMemSys {
     pub dcache: DCache,
     pub backend: Backend,
     pub mem: FlatMem,
-    /// Completed transactions awaiting pickup by the core.
-    resp: VecDeque<MemResp>,
 }
 
 impl LocalMemSys {
@@ -66,7 +62,6 @@ impl LocalMemSys {
             dcache: DCache::new(DCacheConfig::default()),
             backend: Backend::Dram(Dram::new(DramConfig::default())),
             mem: FlatMem::new(),
-            resp: VecDeque::new(),
         }
     }
 
@@ -104,12 +99,6 @@ impl LocalMemSys {
             .flat_map(|f| f.events.iter())
     }
 
-    /// Owned copy of [`Self::fault_events_iter`] for callers that keep the
-    /// trace around.
-    pub fn fault_events(&self) -> Vec<FaultEvent> {
-        self.fault_events_iter().copied().collect()
-    }
-
     /// Start a new measurement epoch: caches stay warm, but all in-flight
     /// timing state (outstanding fills, the DRAM channel clock) is
     /// completed/rewound so simulated time can restart at zero.
@@ -136,13 +125,7 @@ impl LocalMemSys {
         let mut out: Vec<Event> = Vec::new();
         if let Backend::Dram(d) = &mut self.backend {
             if let Some(log) = &mut d.log {
-                out.extend(std::mem::take(log).into_iter().map(|r| Event::DramSpan {
-                    start: r.start,
-                    done: r.done,
-                    addr: r.addr,
-                    bytes: r.bytes,
-                    write: r.write,
-                }));
+                out.extend(std::mem::take(log).into_iter().map(Event::from_dram_span));
             }
         }
         out.extend(self.fault_events_iter().map(Event::from_fault));
@@ -160,25 +143,14 @@ impl MemPort for LocalMemSys {
         self.icache.fetch(now, line, &mut self.backend)
     }
 
-    fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject> {
-        let (completion, served) =
+    fn submit(&mut self, now: u64, req: MemReq) -> Result<MemResp, Reject> {
+        let completion =
             match self.dcache.access(now, 0, req.addr, req.kind, req.policy, &mut self.backend) {
-                Ok(at) => (Completion::Done { at }, self.dcache.last_served),
+                Ok(at) => Completion::Done { at },
                 Err(DStall::MshrFull) => return Err(Reject { retry_at: now + 1 }),
-                Err(DStall::DataError) => (Completion::Fault, self.dcache.last_served),
+                Err(DStall::DataError) => Completion::Fault,
             };
-        self.resp.push_back(MemResp {
-            tag: req.tag,
-            cpu: req.cpu,
-            kind: req.kind,
-            completion,
-            served,
-        });
-        Ok(())
-    }
-
-    fn pop_resp(&mut self, _cpu: usize) -> Option<MemResp> {
-        self.resp.pop_front()
+        Ok(MemResp { completion, served: self.dcache.last_served })
     }
 
     fn level_stats(&self, _cpu: usize) -> MemLevelStats {
@@ -210,12 +182,11 @@ impl MemPort for LocalMemSys {
 pub struct PerfectPort {
     pub load_use: u64,
     pub mem: FlatMem,
-    resp: VecDeque<MemResp>,
 }
 
 impl PerfectPort {
     pub fn new() -> PerfectPort {
-        PerfectPort { load_use: 2, mem: FlatMem::new(), resp: VecDeque::new() }
+        PerfectPort { load_use: 2, mem: FlatMem::new() }
     }
 
     pub fn with_mem(mut self, mem: FlatMem) -> PerfectPort {
@@ -239,24 +210,13 @@ impl MemPort for PerfectPort {
         (now, Served::Bypass)
     }
 
-    fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject> {
+    fn submit(&mut self, now: u64, req: MemReq) -> Result<MemResp, Reject> {
         use majc_mem::DKind;
         let at = match req.kind {
             DKind::Load | DKind::Atomic => now + self.load_use,
             DKind::Store | DKind::Prefetch => now,
         };
-        self.resp.push_back(MemResp {
-            tag: req.tag,
-            cpu: req.cpu,
-            kind: req.kind,
-            completion: Completion::Done { at },
-            served: Served::Bypass,
-        });
-        Ok(())
-    }
-
-    fn pop_resp(&mut self, _cpu: usize) -> Option<MemResp> {
-        self.resp.pop_front()
+        Ok(MemResp { completion: Completion::Done { at }, served: Served::Bypass })
     }
 
     fn level_stats(&self, _cpu: usize) -> MemLevelStats {
@@ -267,18 +227,14 @@ impl MemPort for PerfectPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::Tag;
     use majc_mem::{DKind, DPolicy};
 
-    fn req(addr: u32, kind: DKind, tag: u64) -> MemReq {
-        MemReq { cpu: 0, addr, kind, policy: DPolicy::Cached, tag: Tag(tag) }
+    fn req(addr: u32, kind: DKind) -> MemReq {
+        MemReq { cpu: 0, addr, kind, policy: DPolicy::Cached }
     }
 
-    fn done(p: &mut dyn MemPort) -> u64 {
-        match p.pop_resp(0).expect("response queued").completion {
-            Completion::Done { at } => at,
-            Completion::Fault => panic!("unexpected fault"),
-        }
+    fn done(r: Result<MemResp, Reject>) -> u64 {
+        r.expect("accepted").completion.done().expect("no fault")
     }
 
     #[test]
@@ -287,54 +243,54 @@ mod tests {
         let (t0, served) = m.fetch_line(0, 0, 0x100);
         assert!(t0 > 0 && served == Served::Miss, "cold I-cache misses");
         assert_eq!(m.fetch_line(t0, 0, 0x100), (t0, Served::Hit), "same line hits");
-        assert!(m.resp.is_empty(), "instruction fetches queue no response");
+        let s = m.level_stats(0);
+        assert_eq!((s.dcache_hits, s.dcache_misses), (0, 0), "fetches are not data transactions");
 
-        m.submit(0, req(0x2000, DKind::Load, 3)).unwrap();
-        let d0 = done(&mut m);
+        let d0 = done(m.submit(0, req(0x2000, DKind::Load)));
         assert!(d0 > 2);
-        m.submit(d0, req(0x2004, DKind::Load, 4)).unwrap();
-        assert_eq!(done(&mut m), d0 + 2, "2-cycle load-to-use on a hit");
+        assert_eq!(done(m.submit(d0, req(0x2004, DKind::Load))), d0 + 2, "2-cycle load-to-use");
     }
 
     #[test]
-    fn responses_carry_their_tags() {
+    fn each_accepted_request_returns_its_own_response() {
         let mut m = LocalMemSys::majc5200();
-        m.submit(0, req(0x1000, DKind::Load, 7)).unwrap();
-        m.submit(0, req(0x2000, DKind::Load, 8)).unwrap();
-        let a = m.pop_resp(0).unwrap();
-        let b = m.pop_resp(0).unwrap();
-        assert_eq!((a.tag, b.tag), (Tag(7), Tag(8)));
-        assert!(m.pop_resp(0).is_none());
+        let a = m.submit(0, req(0x1000, DKind::Load)).unwrap();
+        let b = m.submit(0, req(0x2000, DKind::Load)).unwrap();
+        assert_eq!((a.served, b.served), (Served::Miss, Served::Miss));
+        // The second miss queues behind the first on the DRDRAM channel.
+        let (da, db) = (a.completion.done().unwrap(), b.completion.done().unwrap());
+        assert!(db > da, "{da} then {db}");
+        // A hit accepted after both misses completes before either.
+        let h = m.submit(da, req(0x1004, DKind::Load)).unwrap();
+        assert_eq!((h.served, h.completion.done()), (Served::Hit, Some(da + 2)));
+        assert!(da + 2 < db, "out-of-order return");
     }
 
     #[test]
     fn mshr_exhaustion_rejects() {
         let mut m = LocalMemSys::majc5200();
         for i in 0..4u32 {
-            m.submit(0, req(i * 0x1000, DKind::Load, i as u64)).unwrap();
+            m.submit(0, req(i * 0x1000, DKind::Load)).unwrap();
         }
-        let e = m.submit(0, req(0x9000, DKind::Load, 9)).unwrap_err();
+        assert_eq!(m.dcache.outstanding(), 4);
+        let e = m.submit(0, req(0x9000, DKind::Load)).unwrap_err();
         assert_eq!(e, Reject { retry_at: 1 });
-        assert_eq!(m.resp.len(), 4, "rejected requests produce no response");
+        assert_eq!(m.dcache.outstanding(), 4, "a rejected request occupies no MSHR");
     }
 
     #[test]
     fn perfect_port_is_flat() {
         let mut p = PerfectPort::new();
         assert_eq!(p.fetch_line(5, 0, 0xFFE0), (5, Served::Bypass));
-        p.submit(5, req(0, DKind::Load, 2)).unwrap();
-        assert_eq!(done(&mut p), 7);
-        p.submit(5, req(0, DKind::Store, 3)).unwrap();
-        assert_eq!(done(&mut p), 5);
+        assert_eq!(done(p.submit(5, req(0, DKind::Load))), 7);
+        assert_eq!(done(p.submit(5, req(0, DKind::Store))), 5);
     }
 
     #[test]
     fn level_stats_track_the_hierarchy() {
         let mut m = LocalMemSys::majc5200();
-        m.submit(0, req(0x2000, DKind::Load, 1)).unwrap();
-        let t = done(&mut m);
-        m.submit(t + 1, req(0x2004, DKind::Load, 2)).unwrap();
-        done(&mut m);
+        let t = done(m.submit(0, req(0x2000, DKind::Load)));
+        done(m.submit(t + 1, req(0x2004, DKind::Load)));
         let s = m.level_stats(0);
         assert_eq!((s.dcache_hits, s.dcache_misses), (1, 1));
         assert_eq!(s.mshr_high_water, 1);

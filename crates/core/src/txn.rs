@@ -1,20 +1,20 @@
 //! The memory-transaction layer between the CPU cores and the memory
 //! hierarchy.
 //!
-//! The core's LSU presents tagged data requests ([`MemReq`]) on its port;
-//! the memory system answers with tagged responses ([`MemResp`]) that the
-//! LSU matches against its load/store buffers. The interface is a
-//! handshake, not a timestamp oracle: a port may *reject* a request for
-//! one cycle ([`Reject`], e.g. no free MSHR), and every accepted request
-//! produces exactly one response carrying the completion cycle — or a
-//! fault.
+//! The core's LSU presents data requests ([`MemReq`]) on its port, and the
+//! port answers each one directly. The interface is a handshake, not a
+//! timestamp oracle: a port may *reject* a request for one cycle
+//! ([`Reject`], e.g. no free MSHR), and every accepted request comes back
+//! as its [`MemResp`], carrying the completion cycle — or a fault.
 //!
-//! Simulated time is logical (event-driven), so implementations resolve a
+//! Simulated time is logical (event-driven), so every port resolves a
 //! request's completion cycle while it is being accepted rather than
-//! replaying every intervening idle cycle; the response still travels
-//! through the per-CPU response queue and is matched by tag, which is what
-//! preserves out-of-order miss returns and gives the SoC a seam to
-//! arbitrate its two D-cache ports (see `majc_soc::ChipMem`).
+//! replaying every intervening idle cycle, and returns the response from
+//! the same call. Out-of-order miss returns need no response queue: each
+//! LSU buffer entry keeps its own completion cycle and retires when that
+//! cycle passes, whatever order the requests were accepted in. The SoC
+//! arbitrates its two D-cache ports inside the same call (see
+//! `majc_soc::ChipMem`).
 //!
 //! Instruction fetch is not a transaction: an I-cache line fetch is never
 //! rejected, never faults and never completes out of order, so
@@ -22,21 +22,14 @@
 
 use majc_mem::{DKind, DPolicy, FlatMem, Served};
 
-/// Transaction identifier, unique per CPU. Only the LSU issues
-/// transactions (see [`crate::lsu::Lsu`]), so one tag space and one
-/// response queue per CPU serve its data port.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Tag(pub u64);
-
 /// One data request, as presented on the CPU's data-cache port.
 #[derive(Clone, Copy, Debug)]
 pub struct MemReq {
-    /// Requesting CPU (selects the D-cache port and the response queue).
+    /// Requesting CPU (selects the D-cache port).
     pub cpu: u8,
     pub addr: u32,
     pub kind: DKind,
     pub policy: DPolicy,
-    pub tag: Tag,
 }
 
 /// How an accepted request finished.
@@ -49,12 +42,19 @@ pub enum Completion {
     Fault,
 }
 
+impl Completion {
+    /// The completion cycle, or `None` for a fault.
+    pub fn done(self) -> Option<u64> {
+        match self {
+            Completion::Done { at } => Some(at),
+            Completion::Fault => None,
+        }
+    }
+}
+
 /// The response to one accepted request.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemResp {
-    pub tag: Tag,
-    pub cpu: u8,
-    pub kind: DKind,
     pub completion: Completion,
     /// Which level of the hierarchy satisfied the access (observability
     /// only — timing is fully captured by `completion`).
@@ -119,12 +119,12 @@ fn rate(hits: u64, misses: u64) -> f64 {
 /// What the pipeline needs from the memory system: architectural data,
 /// instruction-line fetch, and the request/response data interface.
 ///
-/// Contract: `submit` either rejects (structural, retry later) or queues
-/// exactly one response retrievable via `pop_resp` for the request's CPU.
-/// Responses for one CPU arrive in completion order of the *port*
-/// (requests resolve as they are accepted), which is not program order
-/// when misses return out of order — the LSU matches by tag, never by
-/// position.
+/// Contract: `submit` either rejects (structural, retry later; the
+/// request left no trace in the port) or accepts the request and returns
+/// its one response. Completion cycles of successive requests need not
+/// increase — a hit accepted after a miss completes first — so the
+/// requester orders work by each response's completion cycle, never by
+/// the order of the calls.
 pub trait MemPort {
     /// The architectural backing store.
     fn mem(&mut self) -> &mut FlatMem;
@@ -134,9 +134,7 @@ pub trait MemPort {
     /// internal to the cache).
     fn fetch_line(&mut self, now: u64, cpu: usize, line: u32) -> (u64, Served);
     /// Present data request `req` on the port at cycle `now`.
-    fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject>;
-    /// Next pending response for `cpu`, if any.
-    fn pop_resp(&mut self, cpu: usize) -> Option<MemResp>;
+    fn submit(&mut self, now: u64, req: MemReq) -> Result<MemResp, Reject>;
     /// Snapshot of the per-level counters as seen by `cpu`.
     fn level_stats(&self, cpu: usize) -> MemLevelStats;
 }

@@ -6,14 +6,51 @@
 //! DRAM models track tags and cycle counts only.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// Page-number hasher: one multiply by an odd 64-bit constant, then a
+/// rotate that brings the well-mixed high product bits down into the low
+/// bits the table picks its bucket from. A bare multiply leaves the low
+/// bits of `k << s` zero, so page numbers of region bases such as
+/// `0x0100_0000` and `0x0200_0000` would share buckets.
+///
+/// The hash is unkeyed, so a chosen set of addresses could collide on
+/// purpose; that is acceptable here because a job's page count is bounded
+/// by its packet budget (a packet touches at most a few pages), so the
+/// worst case is a slower job, never an unbounded one.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PageHasher(u64);
+
+impl PageHasher {
+    /// Picked from 20,000 seeded odd candidates for the best worst-case
+    /// spread of page numbers `k << s` (s ≤ 16) over 6 to 12 low bits.
+    const MUL: u64 = 0x8EA3_3D6A_E9F2_181D;
+}
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, pn: u32) {
+        self.0 = (u64::from(pn) ^ self.0).wrapping_mul(PageHasher::MUL).rotate_left(26);
+    }
+}
+
 /// Sparse, paged 32-bit physical memory.
 #[derive(Clone, Debug, Default)]
 pub struct FlatMem {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl FlatMem {
@@ -56,44 +93,63 @@ impl FlatMem {
         }
     }
 
+    /// A typed read: one lookup and no run loop when the `N` bytes stay
+    /// inside one page, the general [`FlatMem::read`] when they straddle.
+    #[inline]
+    fn read_n<const N: usize>(&mut self, addr: u32) -> [u8; N] {
+        let mut b = [0u8; N];
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off + N <= PAGE_SIZE {
+            if let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) {
+                b.copy_from_slice(&p[off..off + N]);
+            }
+        } else {
+            self.read(addr, &mut b);
+        }
+        b
+    }
+
+    /// The typed write matching [`FlatMem::read_n`].
+    #[inline]
+    fn write_n<const N: usize>(&mut self, addr: u32, b: [u8; N]) {
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off + N <= PAGE_SIZE {
+            self.page(addr >> PAGE_SHIFT)[off..off + N].copy_from_slice(&b);
+        } else {
+            self.write(addr, &b);
+        }
+    }
+
     pub fn read_u8(&mut self, addr: u32) -> u8 {
-        let mut b = [0u8; 1];
-        self.read(addr, &mut b);
-        b[0]
+        self.read_n::<1>(addr)[0]
     }
 
     pub fn read_u16(&mut self, addr: u32) -> u16 {
-        let mut b = [0u8; 2];
-        self.read(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.read_n(addr))
     }
 
     pub fn read_u32(&mut self, addr: u32) -> u32 {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_n(addr))
     }
 
     pub fn read_u64(&mut self, addr: u32) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_n(addr))
     }
 
     pub fn write_u8(&mut self, addr: u32, v: u8) {
-        self.write(addr, &[v]);
+        self.write_n(addr, [v]);
     }
 
     pub fn write_u16(&mut self, addr: u32, v: u16) {
-        self.write(addr, &v.to_le_bytes());
+        self.write_n(addr, v.to_le_bytes());
     }
 
     pub fn write_u32(&mut self, addr: u32, v: u32) {
-        self.write(addr, &v.to_le_bytes());
+        self.write_n(addr, v.to_le_bytes());
     }
 
     pub fn write_u64(&mut self, addr: u32, v: u64) {
-        self.write(addr, &v.to_le_bytes());
+        self.write_n(addr, v.to_le_bytes());
     }
 
     /// Write an `f32` in its IEEE bit pattern.
@@ -223,6 +279,31 @@ mod tests {
         for (i, &b) in data.iter().enumerate().step_by(997) {
             assert_eq!(m.read_u8(0x0003_0FF0 + i as u32), b, "byte {i}");
         }
+    }
+
+    /// Distinct values of the low 8 hash bits (the bucket of a 256-slot
+    /// table) over the page numbers `k << s`, k < 256.
+    fn low_bits_spread(hash: impl Fn(u32) -> u64, s: u32) -> usize {
+        let mut seen = [false; 256];
+        for k in 0..256u32 {
+            seen[(hash(k << s) & 0xFF) as usize] = true;
+        }
+        seen.iter().filter(|&&b| b).count()
+    }
+
+    #[test]
+    fn page_hash_spreads_strided_page_numbers_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        let page_hash = |pn: u32| BuildHasherDefault::<PageHasher>::default().hash_one(pn);
+        let bare = |pn: u32| u64::from(pn).wrapping_mul(PageHasher::MUL);
+        for s in [0, 4, 8, 12] {
+            let spread = low_bits_spread(page_hash, s);
+            assert!(spread >= 128, "stride 2^{s}: only {spread} of 256 low-bit values");
+        }
+        // Without the rotate, a stride of 2^s leaves the low s bits zero.
+        assert_eq!(low_bits_spread(bare, 4), 16);
+        assert_eq!(low_bits_spread(bare, 8), 1);
+        assert_eq!(low_bits_spread(bare, 12), 1);
     }
 
     #[test]

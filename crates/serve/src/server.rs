@@ -18,14 +18,14 @@
 //! `busy {retry_after_ms}` immediately and nothing server-side blocks or
 //! buffers unboundedly.
 
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 
-use majc_obs::JobSpan;
+use majc_obs::{Class, JobSpan};
 
 use crate::chaos::{ChaosKill, ChaosPlan};
 use crate::jobs::ExecCtx;
@@ -532,13 +532,24 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
         }
     });
 
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        match read_line_capped(&mut reader, &mut buf) {
+            ReadLine::End => break,
+            ReadLine::TooLong => {
+                shared.obs.registry.counter("conn.line_too_long", Class::Det).inc();
+                let detail = format!("request lines are capped at {MAX_LINE_BYTES} bytes");
+                let _ = tx.send(Response::failed("", "line_too_long", detail));
+                continue;
+            }
+            ReadLine::Line => {}
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let req = match Request::parse_line(&line) {
+        let req = match Request::parse_line(line) {
             Err(e) => {
                 shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
                 let _ = tx.send(Response::failed("", "parse", e));
@@ -586,6 +597,46 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     }
     drop(tx);
     let _ = writer.join();
+}
+
+/// Longest request line a connection reads, not counting its `\n`. A
+/// longer line is answered `line_too_long` and skipped a bounded read at
+/// a time, so one client cannot make the daemon hold an unbounded line.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What one bounded line read found.
+enum ReadLine {
+    /// `buf` holds the line, without its `\n` or `\r\n`.
+    Line,
+    /// The line was longer than [`MAX_LINE_BYTES`] and has been skipped.
+    TooLong,
+    /// End of input, or a read error.
+    End,
+}
+
+/// Read the next request line into `buf`, holding at most
+/// [`MAX_LINE_BYTES`] + 1 bytes of it. The last line may end without a
+/// newline, as with [`BufRead::lines`].
+fn read_line_capped(r: &mut impl BufRead, buf: &mut Vec<u8>) -> ReadLine {
+    let mut read = |buf: &mut Vec<u8>| {
+        buf.clear();
+        r.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf).unwrap_or(0)
+    };
+    if read(buf) == 0 {
+        return ReadLine::End;
+    }
+    if buf.last() != Some(&b'\n') && buf.len() > MAX_LINE_BYTES {
+        // Skip through the newline, one bounded read at a time.
+        while read(buf) > 0 && buf.last() != Some(&b'\n') {}
+        return ReadLine::TooLong;
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    ReadLine::Line
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! checkpoint on the cycle engine (both execute the same translated
 //! micro-ops, so the architectural digest must agree).
 
+use std::io::{BufRead, BufReader, Write};
 use std::time::{Duration, Instant};
 
 use majc_serve::{
@@ -445,5 +446,44 @@ fn garbled_lines_get_structured_parse_failures() {
     let r = c.request(&job("after-garbage", JobSpec::Fuzz { seed: 3, budget: 100 })).unwrap();
     assert!(matches!(r.status, Status::Ok(_)), "{r:?}");
     assert_eq!(handle.counters().parse_errors, 2);
+    handle.shutdown();
+}
+
+#[test]
+fn an_overlong_line_is_answered_and_the_connection_keeps_serving() {
+    let handle = start(1, 4);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    // A job padded to exactly the cap is still served.
+    let mut at_cap = job("at-cap", JobSpec::Fuzz { seed: 3, budget: 100 }).to_line().into_bytes();
+    at_cap.resize(server::MAX_LINE_BYTES, b' ');
+    at_cap.push(b'\n');
+    c.send_raw(&at_cap).unwrap();
+    let r = c.recv().unwrap();
+    assert_eq!(r.id, "at-cap");
+    assert!(matches!(r.status, Status::Ok(_)), "{r:?}");
+
+    let mut huge = vec![b'x'; 2 << 20];
+    huge.push(b'\n');
+    c.send_raw(&huge).unwrap();
+    let r = c.recv().unwrap();
+    assert_eq!(r.id, "", "the line is never parsed, so it has no id");
+    assert!(matches!(&r.status, Status::Failed { kind, .. } if kind == "line_too_long"), "{r:?}");
+
+    let r = c.request(&job("after-huge", JobSpec::Fuzz { seed: 3, budget: 100 })).unwrap();
+    assert_eq!(r.id, "after-huge");
+    assert!(matches!(r.status, Status::Ok(_)), "{r:?}");
+    assert_eq!(handle.counters().parse_errors, 0, "skipped, not parsed");
+    let counted = handle.metrics().get("conn.line_too_long").and_then(|v| v.as_u64());
+    assert_eq!(counted, Some(1));
+    assert!(handle.det_metrics_json().contains("\"conn.line_too_long\":1"));
+
+    // An overlong last line that ends at end of input, not at a newline.
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(&vec![b'y'; 3 * server::MAX_LINE_BYTES]).unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    BufReader::new(raw).read_line(&mut reply).unwrap();
+    let r = Response::parse_line(&reply).unwrap();
+    assert!(matches!(&r.status, Status::Failed { kind, .. } if kind == "line_too_long"), "{r:?}");
     handle.shutdown();
 }

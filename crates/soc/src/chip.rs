@@ -52,8 +52,6 @@ pub struct ChipMem {
     pub xbar: Crossbar,
     pub mem: FlatMem,
     pub stats: ChipMemStats,
-    /// Per-CPU completed transactions awaiting pickup.
-    resp: [VecDeque<MemResp>; 2],
     /// Recent granted data-port accesses `(cycle, cpu, line, write)` — the
     /// dual-port conflict ledger.
     ledger: VecDeque<(u64, usize, u32, bool)>,
@@ -70,7 +68,6 @@ impl ChipMem {
             xbar: Crossbar::new(),
             mem,
             stats: ChipMemStats::default(),
-            resp: [VecDeque::new(), VecDeque::new()],
             ledger: VecDeque::new(),
             port_time: [0; 2],
         }
@@ -102,12 +99,6 @@ impl ChipMem {
             ])
             .flatten()
             .flat_map(|f| f.events.iter())
-    }
-
-    /// Owned copy of [`Self::fault_events_iter`] for callers that keep the
-    /// trace around.
-    pub fn fault_events(&self) -> Vec<FaultEvent> {
-        self.fault_events_iter().copied().collect()
     }
 
     /// End a measurement epoch: complete every outstanding D-cache fill,
@@ -158,7 +149,7 @@ impl ChipMem {
 
     /// Accept one data transaction (see [`MemPort::submit`] for the
     /// contract).
-    pub fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject> {
+    pub fn submit(&mut self, now: u64, req: MemReq) -> Result<MemResp, Reject> {
         let cpu = usize::from(req.cpu) & 1;
         let write = matches!(req.kind, DKind::Store | DKind::Atomic);
         let line = self.dcache.line_addr(req.addr);
@@ -187,8 +178,7 @@ impl ChipMem {
                 }
                 Completion::Done { at }
             }
-            // No response, no ledger entry: a rejected request never
-            // occupied the port.
+            // No ledger entry: a rejected request never occupied the port.
             Err(DStall::MshrFull) => return Err(Reject { retry_at: now + 1 }),
             Err(DStall::DataError) => {
                 // The faulting access did occupy its port slot.
@@ -196,14 +186,7 @@ impl ChipMem {
                 Completion::Fault
             }
         };
-        self.resp[cpu].push_back(MemResp {
-            tag: req.tag,
-            cpu: req.cpu,
-            kind: req.kind,
-            completion,
-            served,
-        });
-        Ok(())
+        Ok(MemResp { completion, served })
     }
 
     /// Arm the opt-in chip-level record logs (crossbar grants, DRDRAM
@@ -231,13 +214,7 @@ impl ChipMem {
             }));
         }
         if let Some(log) = &mut self.xbar.dram.log {
-            out.extend(std::mem::take(log).into_iter().map(|r| Event::DramSpan {
-                start: r.start,
-                done: r.done,
-                addr: r.addr,
-                bytes: r.bytes,
-                write: r.write,
-            }));
+            out.extend(std::mem::take(log).into_iter().map(Event::from_dram_span));
         }
         out.extend(self.fault_events_iter().map(Event::from_fault));
         out.sort_by_key(Event::timestamp);
@@ -278,12 +255,8 @@ impl MemPort for ChipPort<'_> {
         self.chip.fetch_line(now, cpu, line)
     }
 
-    fn submit(&mut self, now: u64, req: MemReq) -> Result<(), Reject> {
+    fn submit(&mut self, now: u64, req: MemReq) -> Result<MemResp, Reject> {
         self.chip.submit(now, req)
-    }
-
-    fn pop_resp(&mut self, cpu: usize) -> Option<MemResp> {
-        self.chip.resp[cpu & 1].pop_front()
     }
 
     fn level_stats(&self, cpu: usize) -> MemLevelStats {
@@ -588,5 +561,22 @@ mod tests {
         // at most a sliver more than running one.
         assert!((slower as f64) < s0 as f64 * 1.25, "dual-CPU {slower} vs single {s0}: no scaling");
         assert_eq!(chip.cpu[0].stats.mem.dport_conflicts, 0, "no data traffic, no collisions");
+    }
+
+    #[test]
+    fn rejected_requests_leave_no_trace_in_the_chip() {
+        use majc_mem::DPolicy;
+        let mut m = ChipMem::new(FlatMem::new());
+        let req =
+            |cpu: u8, addr: u32| MemReq { cpu, addr, kind: DKind::Load, policy: DPolicy::Cached };
+        for i in 0..4u32 {
+            let r = m.submit(0, req((i & 1) as u8, i * 0x1000)).unwrap();
+            assert_eq!(r.served, Served::Miss);
+            assert!(matches!(r.completion, Completion::Done { at } if at > 0));
+        }
+        assert_eq!((m.dcache.outstanding(), m.ledger.len()), (4, 4));
+        assert_eq!(m.submit(0, req(1, 0x9000)), Err(Reject { retry_at: 1 }));
+        assert_eq!(m.dcache.outstanding(), 4, "a rejected request occupies no MSHR");
+        assert_eq!(m.ledger.len(), 4, "and no slot in the port ledger");
     }
 }

@@ -195,7 +195,7 @@ fn dual_cpu_fault_soak_recovers_and_replays() {
         chip.run(50_000_000).unwrap_or_else(|e| panic!("soak pass {pass} failed: {e}"));
         assert!(chip.cpu[0].halted() && chip.cpu[1].halted());
         assert_eq!(chip.chip_mut().mem.read_u32(SHARED), 100, "every increment must land");
-        let events = chip.chip().fault_events();
+        let events: Vec<_> = chip.chip().fault_events_iter().copied().collect();
         assert!(!events.is_empty(), "the soak plan must inject something");
         traces.push(events);
     }
