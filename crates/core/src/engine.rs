@@ -64,33 +64,17 @@ pub trait ExecEngine {
     /// Stable engine identifier for reports and diagnostics.
     fn engine_name(&self) -> &'static str;
 
-    /// Run until `halt` or until `max_steps` calls to [`ExecEngine::step`]
-    /// have been made; returns packets committed. Every step — including a
-    /// trap delivery, which commits no packet — consumes budget, so a trap
-    /// storm cannot run unbounded.
-    fn run(&mut self, max_steps: u64) -> Result<u64, Trap> {
-        let start = self.stats().packets;
-        let mut steps = 0u64;
-        while steps < max_steps {
-            steps += 1;
-            if !self.step()? {
-                break;
-            }
-        }
-        Ok(self.stats().packets - start)
-    }
+    /// Run until `halt` or until `max_steps` steps (each what one
+    /// [`ExecEngine::step`] does) have been made; returns packets
+    /// committed. Every step — including a trap delivery, which commits no
+    /// packet — consumes budget, so a trap storm cannot run unbounded.
+    /// Each engine implements its own loop; none is shared.
+    fn run(&mut self, max_steps: u64) -> Result<u64, Trap>;
 
     /// [`ExecEngine::run`] with a watchdog: exhausting the step budget
     /// without reaching `halt` is a hang, reported as a structured
     /// [`SimError::Hang`] carrying the stuck PC.
-    fn run_to_halt(&mut self, max_steps: u64) -> Result<u64, SimError> {
-        let n = self.run(max_steps).map_err(SimError::Trap)?;
-        if self.halted() {
-            Ok(n)
-        } else {
-            Err(SimError::Hang { at: self.stats().packets, pcs: vec![self.pc()] })
-        }
-    }
+    fn run_to_halt(&mut self, max_steps: u64) -> Result<u64, SimError>;
 }
 
 impl ExecEngine for FuncSim {

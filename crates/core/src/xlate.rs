@@ -7,9 +7,12 @@
 //! and static branch targets are all computed at translation time — and
 //! dispatches them as threaded code (one handler function pointer per
 //! micro-op). Packets are chained into superblocks: each translated packet
-//! pre-links its fall-through successor, so straight-line code and
-//! not-taken branches never consult the address map at all, and taken
-//! transfers resolve through [`Program::index_of`], a dense-table lookup.
+//! pre-links its fall-through successor and, for a `br` or `call`, its
+//! static taken target, so straight-line code and direct branches never
+//! consult the address map at all. Only `jmpl`, `rte` and trap vectors
+//! resolve through [`Program::index_of`], a dense-table lookup.
+//! [`XlateSim::run`] is the engine's one execution loop; `step` is one
+//! iteration of it.
 //!
 //! A [`Translation`] is also the image the cycle model issues from. Each
 //! translated packet carries the static facts the issue logic needs —
@@ -152,6 +155,10 @@ pub(crate) struct XPacket {
     /// Pre-linked fall-through successor index (`NO_IDX` past the end):
     /// the superblock chain for straight-line code.
     fall: u32,
+    /// Pre-linked index of a `br`/`call` packet's static taken target
+    /// (`NO_IDX` when it is off-program, or the packet has no static
+    /// target).
+    taken: u32,
 }
 
 impl XPacket {
@@ -860,7 +867,13 @@ impl Translation {
                     defs: ins.defs(),
                 });
             }
-            let next = pc.wrapping_add(pkt.len_bytes());
+            let link = |addr: u32| prog.index_of(addr).map_or(NO_IDX, |j| j as u32);
+            let taken = match pkt.control() {
+                Some(&(Instr::Br { off, .. } | Instr::Call { off, .. })) => {
+                    link(pc.wrapping_add(off as u32))
+                }
+                _ => NO_IDX,
+            };
             packets.push(XPacket {
                 first,
                 width: pkt.width() as u8,
@@ -868,7 +881,8 @@ impl Translation {
                 mem: mem_op(pkt),
                 ctrl: ctrl_kind(pkt),
                 bytes: pkt.len_bytes(),
-                fall: prog.index_of(next).map_or(NO_IDX, |j| j as u32),
+                fall: link(pc.wrapping_add(pkt.len_bytes())),
+                taken,
             });
         }
         Translation { prog, uops, facts, packets, fallback_uops: fallback }
@@ -1147,91 +1161,103 @@ impl XlateSim {
         &self.xl
     }
 
-    /// Mirror of `FuncSim::deliver`, plus the packet-index update.
-    fn deliver(&mut self, trap: Trap, pc: u32, npc: u32) -> Result<(), Trap> {
-        let Some(base) = self.trap_vector else { return Err(trap) };
-        if self.trap.active {
-            return Err(trap);
-        }
-        self.trap.latch(trap, pc, npc);
-        self.pc = base;
-        self.idx = self.xl.lookup(base);
-        self.stats.traps += 1;
-        Ok(())
-    }
-
     /// Execute one packet. Returns `Ok(true)` while running, `Ok(false)`
     /// once halted — the exact contract (and behaviour) of
-    /// `FuncSim::step`.
+    /// `FuncSim::step`. One iteration of [`XlateSim::run`].
     pub fn step(&mut self) -> Result<bool, Trap> {
-        if self.halted {
-            return Ok(false);
-        }
-        let pc = self.pc;
-        if self.idx == NO_IDX {
-            self.deliver(Trap::BadPc { pc, target: pc }, pc, pc)?;
-            return Ok(true);
-        }
-        let idx = self.idx as usize;
-        let run = self.xl.exec_packet(idx, pc, &self.regs, &mut self.ws, &mut self.mem);
-        let xp = *self.xl.packet(idx);
-        self.stats.loads += run.loads;
-        self.stats.stores += run.stores;
-        if let Some(trap) = run.trap {
-            self.deliver(trap, pc, pc)?;
-            return Ok(true);
-        }
-        self.ws.apply(&mut self.regs);
-        self.stats.packets += 1;
-        self.stats.instrs += xp.width as u64;
-        self.stats.width_hist[xp.width as usize - 1] += 1;
-        for s in 0..xp.width as usize {
-            self.stats.slot_instrs[s] += 1;
-        }
-        self.stats.branches += xp.branch_add as u64;
-        match run.flow {
-            Flow::Next => {
-                self.pc = pc + xp.bytes;
-                self.idx = xp.fall;
-            }
-            Flow::Taken(t) => {
-                self.stats.taken += 1;
-                let ti = self.xl.lookup(t);
-                if ti == NO_IDX {
-                    // The branch packet committed: resume past it.
-                    self.deliver(Trap::BadPc { pc, target: t }, pc, pc + xp.bytes)?;
-                } else {
-                    self.pc = t;
-                    self.idx = ti;
-                }
-            }
-            Flow::Rte => {
-                if self.trap.active {
-                    self.trap.active = false;
-                    self.pc = self.trap.tnpc;
-                    self.idx = self.xl.lookup(self.pc);
-                } else {
-                    self.deliver(Trap::BadRte { pc }, pc, pc + xp.bytes)?;
-                }
-            }
-            Flow::Halt => self.halted = true,
-        }
+        self.run(1)?;
         Ok(!self.halted)
     }
 
     /// Run until `halt` or until `max_steps` steps have been made; returns
     /// packets committed. Every step consumes budget, including trap
     /// deliveries (which commit no packet).
+    ///
+    /// The translated engine's one execution loop. `pc`, the packet index
+    /// and the counters live in locals; a committed packet is counted by
+    /// its width only, and the width-derived [`FuncStats`] counters are
+    /// folded in once, on every exit.
     pub fn run(&mut self, max_steps: u64) -> Result<u64, Trap> {
-        let start = self.stats.packets;
-        let mut steps = 0u64;
-        while steps < max_steps {
-            steps += 1;
-            if !self.step()? {
-                break;
-            }
+        if self.halted {
+            return Ok(0);
         }
-        Ok(self.stats.packets - start)
+        let xl = &*self.xl;
+        let vector = self.trap_vector;
+        let (mut pc, mut idx) = (self.pc, self.idx);
+        // This run's counters; `packets`, `instrs` and `slot_instrs`
+        // follow from `width_hist` in `fold_run`.
+        let mut tally = FuncStats::default();
+        let mut steps = 0u64;
+        let end = 'run: loop {
+            if steps == max_steps {
+                break Ok(());
+            }
+            steps += 1;
+            // A trap to deliver, with its `rte` resume point.
+            let (trap, npc) = 'fault: {
+                if idx == NO_IDX {
+                    break 'fault (Trap::BadPc { pc, target: pc }, pc);
+                }
+                let xp = &xl.packets[idx as usize];
+                let run = xl.exec_packet(idx as usize, pc, &self.regs, &mut self.ws, &mut self.mem);
+                tally.loads += run.loads;
+                tally.stores += run.stores;
+                if let Some(trap) = run.trap {
+                    break 'fault (trap, pc);
+                }
+                self.ws.apply(&mut self.regs);
+                tally.width_hist[xp.width as usize - 1] += 1;
+                tally.branches += xp.branch_add as u64;
+                match run.flow {
+                    Flow::Next => {
+                        pc += xp.bytes;
+                        idx = xp.fall;
+                    }
+                    Flow::Taken(t) => {
+                        tally.taken += 1;
+                        let ti = match xp.ctrl {
+                            Ctrl::Br { .. } | Ctrl::Call => xp.taken,
+                            _ => xl.lookup(t),
+                        };
+                        debug_assert_eq!(ti, xl.lookup(t), "stale taken link at {pc:#x}");
+                        if ti == NO_IDX {
+                            // The branch packet committed: resume past it.
+                            break 'fault (Trap::BadPc { pc, target: t }, pc + xp.bytes);
+                        }
+                        pc = t;
+                        idx = ti;
+                    }
+                    Flow::Rte => {
+                        if !self.trap.active {
+                            break 'fault (Trap::BadRte { pc }, pc + xp.bytes);
+                        }
+                        self.trap.active = false;
+                        pc = self.trap.tnpc;
+                        idx = xl.lookup(pc);
+                    }
+                    Flow::Halt => {
+                        self.halted = true;
+                        break 'run Ok(());
+                    }
+                }
+                continue 'run;
+            };
+            // Vectored delivery, as `FuncSim::deliver`: no vector, or a
+            // trap inside the handler, ends the run.
+            match vector {
+                Some(base) if !self.trap.active => {
+                    self.trap.latch(trap, pc, npc);
+                    pc = base;
+                    idx = xl.lookup(base);
+                    tally.traps += 1;
+                }
+                _ => break Err(trap),
+            }
+        };
+        self.pc = pc;
+        self.idx = idx;
+        let packets = fold_run(&mut self.stats, &tally);
+        end.map(|()| packets)
     }
 
     /// [`XlateSim::run`] with a watchdog, mirroring `FuncSim::run_to_halt`.
@@ -1270,6 +1296,27 @@ impl XlateSim {
         sim.idx = sim.xl.lookup(snap.pc);
         sim
     }
+}
+
+/// Add one run's `tally` to `stats`, deriving the per-packet counters from
+/// the committed packets' width histogram. Returns the packets committed.
+fn fold_run(stats: &mut FuncStats, tally: &FuncStats) -> u64 {
+    let mut packets = 0;
+    for (w, &n) in tally.width_hist.iter().enumerate() {
+        packets += n;
+        stats.width_hist[w] += n;
+        stats.instrs += n * (w as u64 + 1);
+        for slot in &mut stats.slot_instrs[..=w] {
+            *slot += n;
+        }
+    }
+    stats.packets += packets;
+    stats.loads += tally.loads;
+    stats.stores += tally.stores;
+    stats.branches += tally.branches;
+    stats.taken += tally.taken;
+    stats.traps += tally.traps;
+    packets
 }
 
 impl crate::engine::ExecEngine for XlateSim {
@@ -1469,6 +1516,63 @@ mod tests {
         let mut x = XlateSim::new(p, FlatMem::new());
         let e = x.step().unwrap_err();
         assert!(matches!(e, Trap::BadPc { target: 400, .. }));
+    }
+
+    /// The address a `br`/`call` at `pc` jumps to when taken, by the
+    /// interpreter's own `exec_slot`; `None` for every other instruction.
+    fn static_target(ins: &Instr, pc: u32, pkt_bytes: u32) -> Option<u32> {
+        if !matches!(ins, Instr::Br { .. } | Instr::Call { .. }) {
+            return None;
+        }
+        // Some value among 0, 1 and -1 satisfies every branch condition.
+        [0, 1, u32::MAX].into_iter().find_map(|v| {
+            let mut regs = RegFile::new();
+            if let Instr::Br { rs, .. } = *ins {
+                regs.set(rs, v);
+            }
+            let mut ws = WriteSet::default();
+            let out = exec_slot(ins, &regs, &mut ws, &mut FlatMem::new(), pc, pkt_bytes);
+            match out.expect("br and call cannot trap").flow {
+                Some(Flow::Taken(t)) => Some(t),
+                _ => None,
+            }
+        })
+    }
+
+    /// Every `br`/`call` packet's pre-linked taken index is
+    /// `Program::index_of` of the address the interpreter jumps to, and
+    /// `NO_IDX` exactly when that address is off-program; no other packet
+    /// carries a link. Over the kernel suite, a corpus slice and a fuzz
+    /// slice.
+    #[test]
+    fn taken_links_agree_with_the_address_map() {
+        let mut progs: Vec<Arc<Program>> =
+            majc_kernels::suite::cases().into_iter().map(|c| c.prog).collect();
+        progs.extend(majc_kernels::suite::corpus_cases(3).into_iter().map(|c| c.prog));
+        progs.extend((0..256).map(|seed| Arc::new(majc_bench::diff::fuzz_program(seed))));
+        let (mut inside, mut outside) = (0, 0);
+        for prog in progs {
+            let xl = Translation::build(Arc::clone(&prog));
+            for (i, pkt) in prog.packets().iter().enumerate() {
+                let pc = prog.addr_of(i);
+                let link = xl.packet(i).taken;
+                let Some(target) = static_target(pkt.slot(0).unwrap(), pc, pkt.len_bytes()) else {
+                    assert_eq!(link, NO_IDX, "packet {i} at {pc:#x} has no static target");
+                    continue;
+                };
+                match prog.index_of(target) {
+                    Some(j) => {
+                        assert_eq!(link, j as u32, "taken link of packet {i} at {pc:#x}");
+                        inside += 1;
+                    }
+                    None => {
+                        assert_eq!(link, NO_IDX, "off-program target {target:#x} from {pc:#x}");
+                        outside += 1;
+                    }
+                }
+            }
+        }
+        assert!(inside > 0 && outside > 0, "links seen: {inside} in-program, {outside} off");
     }
 
     #[test]

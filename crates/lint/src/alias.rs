@@ -21,6 +21,8 @@
 //!   sees it), so it clears this set — and program exit does too, because
 //!   the test harnesses read memory after `halt`.
 
+use std::cell::RefCell;
+
 use majc_isa::{AluOp, Instr, Off, Program, Reg, Src};
 
 use crate::cfg::Cfg;
@@ -110,10 +112,12 @@ impl SymFact {
 
     /// Pointwise [`join_sym`] over the union of both maps; true if `self`
     /// changed. Registers in neither map join the two defaults, which is
-    /// the new default.
-    fn join(&mut self, other: &SymFact) -> bool {
+    /// the new default. The union is merged in `scratch`, which swaps in
+    /// as the new map when it differs.
+    fn join(&mut self, other: &SymFact, scratch: &mut Vec<(Reg, Sym)>) -> bool {
         let entry = self.entry && other.entry;
-        let mut map = Vec::with_capacity(self.map.len().max(other.map.len()));
+        let map = scratch;
+        map.clear();
         let (mut i, mut j) = (0, 0);
         loop {
             let r = match (self.map.get(i), other.map.get(j)) {
@@ -134,9 +138,11 @@ impl SymFact {
                 map.push((r, v));
             }
         }
-        let changed = entry != self.entry || map != self.map;
-        self.entry = entry;
-        self.map = map;
+        let changed = entry != self.entry || *map != self.map;
+        if changed {
+            self.entry = entry;
+            std::mem::swap(&mut self.map, map);
+        }
         changed
     }
 }
@@ -145,6 +151,16 @@ impl SymFact {
 /// have height 2 and the fixpoint is quick even with edge refinement off.
 struct SymFlow<'a> {
     prog: &'a Program,
+    /// One packet's buffered writes, reused by every transfer.
+    writes: RefCell<Vec<(Reg, Sym)>>,
+    /// The merge buffer of [`SymFact::join`], reused by every join.
+    merged: RefCell<Vec<(Reg, Sym)>>,
+}
+
+impl<'a> SymFlow<'a> {
+    fn new(prog: &'a Program) -> SymFlow<'a> {
+        SymFlow { prog, writes: RefCell::default(), merged: RefCell::default() }
+    }
 }
 
 impl SymFlow<'_> {
@@ -162,8 +178,7 @@ impl SymFlow<'_> {
             Sym::Abs(c) => Some(c as u32),
             _ => None,
         };
-        if let Some(outs) = fold_exec(ins, pc, pkt_bytes, as_const) {
-            out.extend(outs.into_iter().map(|(r, v)| (r, Sym::Abs(v as i32))));
+        if fold_exec(ins, pc, pkt_bytes, as_const, |v| Sym::Abs(v as i32), out) {
             return;
         }
         match *ins {
@@ -224,18 +239,19 @@ impl Dataflow for SymFlow<'_> {
     }
 
     fn join(&self, into: &mut SymFact, other: &SymFact) -> bool {
-        into.join(other)
+        into.join(other, &mut self.merged.borrow_mut())
     }
 
     fn transfer(&self, node: usize, fact: &mut SymFact) {
         let pkt = &self.prog.packets()[node];
         let pc = self.prog.addr_of(node);
         let pb = pkt.len_bytes();
-        let mut writes: Vec<(Reg, Sym)> = Vec::new();
+        let mut writes = self.writes.borrow_mut();
+        writes.clear();
         for (_, ins) in pkt.slots() {
             self.eval_ins(ins, pc, pb, fact, &mut writes);
         }
-        for (r, v) in writes {
+        for &(r, v) in writes.iter() {
             fact.set(r, v);
         }
     }
@@ -467,7 +483,7 @@ pub(crate) struct AliasResults {
 
 /// Run the symbolic-address stack. `None` if any fixpoint backstop tripped.
 pub(crate) fn analyze_aliases(prog: &Program, cfg: &Cfg, entries: &[u32]) -> Option<AliasResults> {
-    let sym = solve(prog, cfg, entries, &SymFlow { prog });
+    let sym = solve(prog, cfg, entries, &SymFlow::new(prog));
     if !sym.converged {
         return None;
     }
@@ -605,7 +621,7 @@ pub fn shared_race_check(prog_a: &Program, prog_b: &Program) -> Vec<Diag> {
     }
     let abs = |prog: &Program| -> Option<Vec<(MemLoc, usize, u8, AccessKind)>> {
         let cfg = Cfg::build(prog);
-        let sym = solve(prog, &cfg, &[], &SymFlow { prog });
+        let sym = solve(prog, &cfg, &[], &SymFlow::new(prog));
         if !sym.converged {
             return None;
         }
@@ -811,6 +827,7 @@ mod tests {
         const POOL: [u8; 9] = [0, 1, 2, 63, 64, 95, 96, 191, 223];
         let entry: [Sym; N] = std::array::from_fn(|r| Sym::Ent(r as u8, 0));
         let mut rng = majc_isa::SplitMix64::new(0xA11A_5EED);
+        let mut merged = Vec::new();
         for _ in 0..200 {
             let mut sparse = [SymFact::entry(), SymFact::top(), SymFact::entry()];
             let mut dense = [entry, [Sym::Top; N], entry];
@@ -837,7 +854,7 @@ mod tests {
                     _ => {
                         let m = rng.index(3);
                         let src = sparse[m].clone();
-                        let changed = sparse[k].join(&src);
+                        let changed = sparse[k].join(&src, &mut merged);
                         let other = dense[m];
                         let mut dense_changed = false;
                         for (a, b) in dense[k].iter_mut().zip(other) {

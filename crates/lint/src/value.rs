@@ -20,6 +20,8 @@
 //! that empties an interval proves the edge infeasible, which is where the
 //! always/never-taken diagnostics come from.
 
+use std::cell::RefCell;
+
 use majc_core::{exec_slot, RegFile, WriteSet};
 use majc_isa::{AluOp, Cond, Instr, Program, Reg, Src};
 use majc_mem::FlatMem;
@@ -94,14 +96,34 @@ pub(crate) fn join_val(a: Val, b: Val) -> Val {
 
 /// Bit-exact fold: when an instruction is pure (no memory, no control
 /// transfer, no possible trap) and every register it reads is a known
-/// constant, execute it for real on a scratch register file and return the
-/// defined registers' values. `None` when the fold does not apply.
-pub(crate) fn fold_exec(
+/// constant, execute it for real on a scratch register file and push the
+/// defined registers' values, as `as_val(value)`, onto `out`. False (and
+/// nothing pushed) when the fold does not apply.
+pub(crate) fn fold_exec<V>(
     ins: &Instr,
     pc: u32,
     pkt_bytes: u32,
     lookup: impl Fn(Reg) -> Option<u32>,
-) -> Option<Vec<(Reg, u32)>> {
+    as_val: impl Fn(u32) -> V,
+    out: &mut Vec<(Reg, V)>,
+) -> bool {
+    fold_regs(ins, pc, pkt_bytes, lookup).is_some_and(|regs| {
+        // Read back through the register file: a def the instruction
+        // skipped (e.g. an untaken cmove, whose old value we seeded from
+        // `uses`) still reports its exact post-instruction value.
+        out.extend(ins.defs().iter().map(|r| (r, as_val(regs.get(r)))));
+        true
+    })
+}
+
+/// [`fold_exec`]'s execution: the register file after running `ins` on
+/// its constant operands, or `None` when the fold does not apply.
+fn fold_regs(
+    ins: &Instr,
+    pc: u32,
+    pkt_bytes: u32,
+    lookup: impl Fn(Reg) -> Option<u32>,
+) -> Option<RegFile> {
     if ins.is_mem() || ins.is_control() {
         return None;
     }
@@ -120,10 +142,7 @@ pub(crate) fn fold_exec(
     // Pure instructions cannot trap once the divisor check passed.
     exec_slot(ins, &regs, &mut ws, &mut mem, pc, pkt_bytes).ok()?;
     ws.apply(&mut regs);
-    // Read back through the register file: a def the instruction skipped
-    // (e.g. an untaken cmove, whose old value we seeded from `uses`) still
-    // reports its exact post-instruction value.
-    Some(ins.defs().iter().map(|r| (r, regs.get(r))).collect())
+    Some(regs)
 }
 
 /// The abstract register file: the registers known better than ⊤, sorted
@@ -183,6 +202,8 @@ impl ValFact {
 /// The dataflow instance over [`ValFact`].
 pub(crate) struct ValueFlow<'a> {
     prog: &'a Program,
+    /// One packet's buffered writes, reused by every transfer.
+    writes: RefCell<Vec<(Reg, Val)>>,
 }
 
 impl ValueFlow<'_> {
@@ -200,8 +221,7 @@ impl ValueFlow<'_> {
             Val::Const(c) => Some(c),
             _ => None,
         };
-        if let Some(outs) = fold_exec(ins, pc, pkt_bytes, as_const) {
-            out.extend(outs.into_iter().map(|(r, v)| (r, Val::Const(v))));
+        if fold_exec(ins, pc, pkt_bytes, as_const, Val::Const, out) {
             return;
         }
         match *ins {
@@ -328,11 +348,12 @@ impl Dataflow for ValueFlow<'_> {
         // All slots read pre-packet state; writes land together afterwards
         // (the WriteSet semantics — last slot wins on a WAW, matching
         // `WriteSet::apply` order).
-        let mut writes: Vec<(Reg, Val)> = Vec::new();
+        let mut writes = self.writes.borrow_mut();
+        writes.clear();
         for (_, ins) in pkt.slots() {
             self.eval_ins(ins, pc, pb, fact, &mut writes);
         }
-        for (r, v) in writes {
+        for &(r, v) in writes.iter() {
             fact.set(r, v);
         }
     }
@@ -368,7 +389,7 @@ pub(crate) struct ValueResults {
 /// Run constant/range propagation. `None` if the engine backstop tripped
 /// (no must-facts may be emitted from a partial fixpoint).
 pub(crate) fn analyze_values(prog: &Program, cfg: &Cfg, entries: &[u32]) -> Option<ValueResults> {
-    let flow = ValueFlow { prog };
+    let flow = ValueFlow { prog, writes: RefCell::default() };
     let sol = solve(prog, cfg, entries, &flow);
     if !sol.converged {
         return None;
