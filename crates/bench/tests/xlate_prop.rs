@@ -21,8 +21,7 @@ use std::sync::Arc;
 use majc_bench::diff::{fuzz_program, FUZZ_BUDGET};
 use majc_bench::farm::{shard_seed, Farm};
 use majc_core::{
-    program_digest, CpuSnap, ExecEngine, FuncSim, FuncStats, Trap, TrapRegs, XlateCache,
-    XlateCacheStats, XlateSim,
+    CpuSnap, ExecEngine, FuncSim, FuncStats, Trap, TrapRegs, XlateCache, XlateCacheStats, XlateSim,
 };
 use majc_isa::{AluOp, CachePolicy, Cond, Instr, MemWidth, Off, Packet, Program, Reg, Src};
 use majc_mem::{fnv1a, FlatMem};
@@ -155,7 +154,7 @@ fn translation_cache_counters_are_jobs_invariant() {
     let progs: Vec<Arc<Program>> = (0..N as u64)
         .map(|i| Arc::new(fuzz_program(shard_seed(MASTER_SEED ^ 0xCAC8E, i))))
         .collect();
-    let mut digests: Vec<u64> = progs.iter().map(|p| program_digest(p)).collect();
+    let mut digests: Vec<u64> = progs.iter().map(|p| p.digest()).collect();
     digests.sort_unstable();
     digests.dedup();
     assert_eq!(digests.len(), N, "fuzz corpus must be digest-distinct");
@@ -186,7 +185,7 @@ fn translation_cache_counters_are_jobs_invariant() {
             let before = cache.stats().hits;
             cache.translate(p);
             let hit = cache.stats().hits > before;
-            assert_eq!(hit, program_digest(p) >= floor, "jobs={jobs}: residency by digest rank");
+            assert_eq!(hit, p.digest() >= floor, "jobs={jobs}: residency by digest rank");
         }
     }
 }

@@ -24,7 +24,9 @@
 //! each slot's latency class and use/def register indices, slot 0's memory
 //! operation, and its control kind. [`CpuCore`] issues from the program's
 //! one decoded image, a [`Translation`] it builds (uncached) when it is
-//! constructed: each step borrows the translated packet's facts and
+//! constructed, beside which it keeps each slot's latency class and
+//! use/def indices (the functional engine never reads them, so cached
+//! translations do not carry them): each step borrows the packet's facts and
 //! executes the packet's micro-ops through the same handlers and per-packet
 //! helper as the translated functional engine, buffering its register
 //! writes in one reused [`WriteSet`]. The interpreter
@@ -54,7 +56,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use majc_isa::{Instr, LatClass, Program, NUM_REGS};
+use majc_isa::{Instr, LatClass, Program, RegList, NUM_REGS};
 use majc_mem::{DKind, DPolicy};
 
 use crate::config::{TimingConfig, TrapPolicy};
@@ -103,6 +105,16 @@ impl Ctx {
     }
 }
 
+/// One slot's static issue facts (paper §3.2: every latency but the
+/// scoreboarded ones is compiler-visible), stored parallel to the
+/// translation's micro-ops.
+#[derive(Clone, Copy)]
+struct SlotFacts {
+    class: LatClass,
+    uses: RegList,
+    defs: RegList,
+}
+
 /// Cycles from a packet's issue until a result is visible, by (latency
 /// class, producer FU, consumer FU): `latency(class) + xfu_delay(fu, cfu)`.
 type ReadyOffsets = [[[u64; 4]; 4]; LatClass::ALL.len()];
@@ -129,8 +141,10 @@ fn ready_offsets(cfg: &TimingConfig) -> ReadyOffsets {
 /// (the SoC) without any aliasing.
 pub struct CpuCore<S: TraceSink = NullSink> {
     cfg: TimingConfig,
-    /// The program's decoded image: micro-ops plus static issue facts.
+    /// The program's decoded image: micro-ops and packet-level facts.
     xl: Translation,
+    /// Each micro-op's issue facts, indexed like the image's micro-ops.
+    facts: Vec<SlotFacts>,
     /// `cfg`'s result-ready offsets (see [`ready_offsets`]).
     ready_off: ReadyOffsets,
     /// The issuing packet's buffered register writes, cleared per packet.
@@ -172,12 +186,18 @@ impl<S: TraceSink> CpuCore<S> {
         let prog = prog.into();
         let n = cfg.threading.contexts.max(1);
         let contexts = (0..n).map(|_| Ctx::new(prog.base(), cfg.front_latency)).collect();
+        let xl = Translation::build(prog);
+        let mut facts = Vec::with_capacity(xl.uop_count());
+        for (_fu, ins) in xl.program().packets().iter().flat_map(|p| p.slots()) {
+            facts.push(SlotFacts { class: ins.lat_class(), uses: ins.uses(), defs: ins.defs() });
+        }
         CpuCore {
             lsu: Lsu::new(cfg.load_buf, cfg.store_buf),
             gshare: Gshare::new(cfg.predictor),
             ready_off: ready_offsets(&cfg),
             cfg,
-            xl: Translation::build(prog),
+            facts,
+            xl,
             ws: WriteSet::default(),
             cpu,
             contexts,
@@ -411,7 +431,7 @@ impl<S: TraceSink> CpuCore<S> {
             let mut t_best = after_fetch;
             let mut slot_wait = [0u32; 4];
             let (avail, best) = (&self.contexts[ci].avail, &self.contexts[ci].best);
-            let slots = self.xl.slot_facts(idx);
+            let slots = &self.facts[self.xl.packet(idx).span()];
             for (fu, slot) in slots.iter().enumerate() {
                 let mut slot_ready = after_fetch;
                 for &r in slot.uses.indices() {
@@ -498,7 +518,7 @@ impl<S: TraceSink> CpuCore<S> {
 
             // ---- scoreboard update ----
             let ctx = &mut self.contexts[ci];
-            for (fu, slot) in self.xl.slot_facts(idx).iter().enumerate() {
+            for (fu, slot) in self.facts[self.xl.packet(idx).span()].iter().enumerate() {
                 match slot.class {
                     LatClass::IDiv => self.fu0_free = t + self.cfg.idiv_lat,
                     LatClass::FpDouble => self.dbl_free[fu] = t + self.cfg.dbl_ii,

@@ -65,7 +65,7 @@ pub const MAX_DEPTH: usize = 256;
 
 /// Parse one complete JSON document (trailing whitespace allowed).
 pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser { s: src.as_bytes(), i: 0, depth: 0 };
+    let mut p = Parser { src, s: src.as_bytes(), i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -76,26 +76,33 @@ pub fn parse(src: &str) -> Result<Json, String> {
 }
 
 /// Quote `s` as a JSON string literal, escaping quotes, backslashes and
-/// control characters.
+/// control characters. Everything between two escaped bytes is copied as
+/// one slice: each escaped byte is ASCII, so the runs between them are
+/// whole characters.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => out.push_str(&format!("\\u{c:04x}")),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
     out
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes.
     s: &'a [u8],
     i: usize,
     /// Arrays and objects currently open.
@@ -178,64 +185,64 @@ impl Parser<'_> {
         text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number at {start}: {e}"))
     }
 
+    /// A string literal. The bytes up to the next `"` or `\` are appended
+    /// as one slice of `src`: both delimiters are ASCII, and the parser only
+    /// ever stops after an ASCII byte, so each run starts and ends on a
+    /// character boundary.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else { return Err("unterminated string".into()) };
+            let run = self.s[self.i..].iter().position(|&b| b == b'"' || b == b'\\');
+            let Some(n) = run else { return Err("unterminated string".into()) };
+            out.push_str(self.src.get(self.i..self.i + n).ok_or("string run splits a character")?);
+            self.i += n + 1;
+            if self.s[self.i - 1] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else { return Err("truncated escape".into()) };
             self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else { return Err("truncated escape".into()) };
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("invalid low surrogate".into());
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(c)
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(ch.ok_or("invalid unicode escape")?);
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let cp = self.hex4()?;
+                    // Surrogate pairs: a high surrogate must be followed
+                    // by an escaped low surrogate.
+                    let ch = if (0xD800..0xDC00).contains(&cp) {
+                        self.expect(b'\\')?;
+                        self.expect(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err("invalid low surrogate".into());
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.i - 1)),
-                    }
+                        let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(c)
+                    } else {
+                        char::from_u32(cp)
+                    };
+                    out.push(ch.ok_or("invalid unicode escape")?);
                 }
-                _ => {
-                    // Re-decode multi-byte UTF-8 from the source slice.
-                    let start = self.i - 1;
-                    let width = utf8_width(c);
-                    self.i = start + width;
-                    let chunk = self.s.get(start..self.i).ok_or("truncated utf-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                }
+                _ => return Err(format!("bad escape at byte {}", self.i - 1)),
             }
         }
     }
 
+    /// Exactly four hex digits (`from_str_radix` alone would also take a
+    /// leading `+`).
     fn hex4(&mut self) -> Result<u32, String> {
         let chunk = self.s.get(self.i..self.i + 4).ok_or("truncated \\u escape")?;
-        let text = std::str::from_utf8(chunk).map_err(|e| e.to_string())?;
+        if !chunk.iter().all(u8::is_ascii_hexdigit) {
+            return Err(format!("bad \\u escape at byte {}", self.i));
+        }
         self.i += 4;
-        u32::from_str_radix(text, 16).map_err(|e| format!("bad \\u escape: {e}"))
+        Ok(chunk.iter().fold(0, |cp, &b| cp << 4 | (b as char).to_digit(16).unwrap_or(0)))
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -290,17 +297,10 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF7 => 4,
-        _ => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use majc_isa::SplitMix64;
+
     use super::*;
 
     #[test]
@@ -333,6 +333,11 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+        // `\u` takes exactly four hex digits: no sign, no short form.
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u-041""#).is_err());
+        assert!(parse(r#""\u041""#).is_err());
+        assert!(parse(r#""\u0041""#).is_ok());
     }
 
     #[test]
@@ -355,5 +360,103 @@ mod tests {
         for s in ["", "plain", "tab\there", "quote\" back\\", "\u{0}\u{1f}\r\n", "π 😀"] {
             assert_eq!(parse(&quote(s)).unwrap(), Json::Str(s.into()));
         }
+    }
+
+    /// Quoting one character at a time: the reference the run-based
+    /// [`quote`] must match byte for byte.
+    fn quote_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Pieces that are not plain printable ASCII: escaped bytes, DEL, `/`,
+    /// and one character of each UTF-8 length.
+    const PIECES: [&str; 13] = [
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{1f}",
+        "\u{7f}",
+        "/",
+        "é",
+        "€",
+        "😀",
+        "\u{10ffff}",
+    ];
+
+    /// A seeded string of printable-ASCII runs up to 40 bytes long and
+    /// [`PIECES`], in any order; every other string starts and ends with
+    /// a multi-byte character.
+    fn mixed_string(rng: &mut SplitMix64, case: usize) -> String {
+        let mut s = String::new();
+        for _ in 0..rng.index(12) {
+            if rng.flip() {
+                s.extend((0..rng.index(41)).map(|_| (b' ' + rng.index(95) as u8) as char));
+            } else {
+                s.push_str(PIECES[rng.index(PIECES.len())]);
+            }
+        }
+        if case.is_multiple_of(2) {
+            s = format!("{}{s}{}", rng.pick(&PIECES[9..]), rng.pick(&PIECES[9..]));
+        }
+        s
+    }
+
+    /// `s` as a JSON literal in which each character the quoter would
+    /// leave raw is written as a `\u` escape (a surrogate pair above the
+    /// BMP) with probability one half.
+    fn escape_some(rng: &mut SplitMix64, s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            let quoted = quote(&c.to_string());
+            if quoted.len() > c.len_utf8() + 2 || rng.flip() {
+                out.push_str(&quoted[1..quoted.len() - 1]);
+            } else {
+                let mut units = [0u16; 2];
+                for u in c.encode_utf16(&mut units) {
+                    out.push_str(&format!("\\u{u:04X}"));
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn strings_round_trip_through_runs() {
+        let mut rng = SplitMix64::new(0x150_5EED);
+        for case in 0..2000 {
+            let s = mixed_string(&mut rng, case);
+            let q = quote(&s);
+            assert_eq!(q, quote_per_char(&s), "case {case}: {s:?}");
+            assert_eq!(parse(&q), Ok(Json::Str(s.clone())), "case {case}: {q}");
+            let e = escape_some(&mut rng, &s);
+            assert_eq!(parse(&e), Ok(Json::Str(s.clone())), "case {case}: {e}");
+            // A string cut before its closing quote never parses.
+            assert!(parse(&q[..q.len() - 1]).is_err(), "case {case}: {q}");
+        }
+    }
+
+    #[test]
+    fn quote_output_is_pinned() {
+        assert_eq!(quote("é\"x"), "\"é\\\"x\"");
+        assert_eq!(quote("\\😀\u{1}"), "\"\\\\😀\\u0001\"");
+        assert_eq!(quote("€\u{7f}/\n€"), "\"€\u{7f}/\\n€\"");
+        assert_eq!(quote("ab\u{1f}\tcd"), "\"ab\\u001f\\tcd\"");
     }
 }

@@ -55,6 +55,5 @@ pub use stats::CycleStats;
 pub use trap::{SimError, TrapRegs};
 pub use txn::{Completion, MemLevelStats, MemPort, MemReq, MemResp, Reject};
 pub use xlate::{
-    global_xlate_cache, program_digest, Translation, XlateCache, XlateCacheStats, XlateSim,
-    XLATE_CACHE_CAP,
+    global_xlate_cache, Translation, XlateCache, XlateCacheStats, XlateSim, XLATE_CACHE_CAP,
 };

@@ -15,18 +15,19 @@
 //! iteration of it.
 //!
 //! A [`Translation`] is also the image the cycle model issues from. Each
-//! translated packet carries the static facts the issue logic needs —
-//! width, slot 0's memory operation, the control kind, and each slot's
-//! latency class and use/def register indices — and
-//! [`CpuCore`](crate::CpuCore) executes a packet through the same
-//! handlers and the same per-packet helper as [`XlateSim::step`].
+//! translated packet carries the packet-level facts the issue logic needs
+//! — width, slot 0's memory operation and the control kind — and
+//! [`CpuCore`](crate::CpuCore), which keeps each slot's latency class and
+//! use/def register indices beside its image, executes a packet through
+//! the same handlers and the same per-packet helper as
+//! [`XlateSim::step`].
 //!
 //! Translations for the functional engine are shared through a
-//! process-wide cache keyed by the same FNV-1a digest of the encoded
-//! program that the farm and `majc-serve` already use, so resident workers
-//! and farm shards translate each distinct program exactly once. A cycle
-//! core builds its image uncached: it is constructed far more often than a
-//! digest and a lock are worth.
+//! process-wide cache keyed by [`Program::digest`], the FNV-1a content
+//! digest a program computes once and keeps, so resident workers and farm
+//! shards translate each distinct program exactly once and hash a shared
+//! program once. A cycle core builds its image uncached: it is constructed
+//! far more often than a lock is worth.
 //!
 //! The engine is bit-identical to the interpreter by construction and by
 //! enforcement: every specialized handler either reuses the interpreter's
@@ -44,10 +45,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use majc_isa::fixed;
-use majc_isa::{
-    AluOp, CachePolicy, CvtKind, Instr, LatClass, MemWidth, Off, Packet, Program, Reg, RegList, Src,
-};
-use majc_mem::{fnv1a, fnv1a_extend, DKind, FlatMem};
+use majc_isa::{AluOp, CachePolicy, CvtKind, Instr, MemWidth, Off, Packet, Program, Reg, Src};
+use majc_mem::{DKind, FlatMem};
 
 use crate::exec::{exec_slot, f2i, lane_mac, lane_mul, lane_op, Flow, Trap};
 use crate::func_sim::FuncStats;
@@ -128,16 +127,6 @@ pub(crate) enum Ctrl {
     Rte,
 }
 
-/// One slot's static issue facts (paper §3.2: every latency but the
-/// scoreboarded ones is compiler-visible), stored parallel to its
-/// micro-op.
-#[derive(Clone, Copy)]
-pub(crate) struct SlotFacts {
-    pub(crate) class: LatClass,
-    pub(crate) uses: RegList,
-    pub(crate) defs: RegList,
-}
-
 /// Translated form of one packet: a span into the micro-op array plus the
 /// packet-level facts the commit and issue paths need.
 #[derive(Clone, Copy)]
@@ -162,9 +151,9 @@ pub(crate) struct XPacket {
 }
 
 impl XPacket {
-    /// The packet's micro-ops (and slot facts), in FU order.
+    /// Indices of the packet's micro-ops, in FU order.
     #[inline]
-    fn span(&self) -> std::ops::Range<usize> {
+    pub(crate) fn span(&self) -> std::ops::Range<usize> {
         self.first as usize..self.first as usize + self.width as usize
     }
 }
@@ -836,20 +825,16 @@ fn ctrl_kind(pkt: &Packet) -> Ctrl {
 pub struct Translation {
     prog: Arc<Program>,
     uops: Vec<UOp>,
-    /// Each micro-op's static issue facts, indexed like `uops`.
-    facts: Vec<SlotFacts>,
     packets: Vec<XPacket>,
     fallback_uops: u32,
 }
 
 impl Translation {
-    /// Lower `prog`: one micro-op and one [`SlotFacts`] per slot, one
-    /// [`XPacket`] per packet.
+    /// Lower `prog`: one micro-op per slot, one [`XPacket`] per packet.
     pub(crate) fn build(prog: Arc<Program>) -> Translation {
         let n = prog.len();
         let slots = prog.packets().iter().map(|p| p.width()).sum();
         let mut uops = Vec::with_capacity(slots);
-        let mut facts = Vec::with_capacity(slots);
         let mut packets = Vec::with_capacity(n);
         let mut fallback = 0u32;
         for (i, pkt) in prog.packets().iter().enumerate() {
@@ -861,11 +846,6 @@ impl Translation {
                     branch_add += 1;
                 }
                 uops.push(lower(ins, pc, &mut fallback));
-                facts.push(SlotFacts {
-                    class: ins.lat_class(),
-                    uses: ins.uses(),
-                    defs: ins.defs(),
-                });
             }
             let link = |addr: u32| prog.index_of(addr).map_or(NO_IDX, |j| j as u32);
             let taken = match pkt.control() {
@@ -885,7 +865,7 @@ impl Translation {
                 taken,
             });
         }
-        Translation { prog, uops, facts, packets, fallback_uops: fallback }
+        Translation { prog, uops, packets, fallback_uops: fallback }
     }
 
     /// [`Program::index_of`] as a raw packet index: `NO_IDX` when `pc` is
@@ -900,12 +880,6 @@ impl Translation {
     #[inline]
     pub(crate) fn packet(&self, idx: usize) -> &XPacket {
         &self.packets[idx]
-    }
-
-    /// Packet `idx`'s slot facts, in FU order.
-    #[inline]
-    pub(crate) fn slot_facts(&self, idx: usize) -> &[SlotFacts] {
-        &self.facts[self.packets[idx].span()]
     }
 
     /// Packet `idx`'s slot-0 instruction.
@@ -967,28 +941,6 @@ impl Translation {
 // Translation cache
 // ---------------------------------------------------------------------
 
-/// FNV-1a digest of a program image: base address plus encoded packet
-/// bytes — the same content digest the farm and `majc-serve` key on.
-/// Programs whose packets cannot be encoded (constructible only in tests)
-/// hash their debug rendering instead; both paths are pure functions of
-/// the program value.
-pub fn program_digest(prog: &Program) -> u64 {
-    let h = fnv1a(&prog.base().to_le_bytes());
-    match majc_isa::encode_program(prog.packets()) {
-        Ok(bytes) => fnv1a_extend(h, &bytes),
-        Err(_) => {
-            let mut h = fnv1a_extend(h, &[0xFF]);
-            for (i, p) in prog.packets().iter().enumerate() {
-                h = fnv1a_extend(h, &prog.addr_of(i).to_le_bytes());
-                for (_fu, ins) in p.slots() {
-                    h = fnv1a_extend(h, format!("{ins:?}").as_bytes());
-                }
-            }
-            h
-        }
-    }
-}
-
 /// Cache counters, sampled atomically under the cache lock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct XlateCacheStats {
@@ -1043,7 +995,7 @@ impl XlateCache {
     /// where the aggregate [`XlateCache::stats`] cannot say which job
     /// paid for the translation.
     pub fn translate_counted(&self, prog: &Arc<Program>) -> (Arc<Translation>, bool) {
-        let digest = program_digest(prog);
+        let digest = prog.digest();
         let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(t) = g.map.get(&digest).map(Arc::clone) {
             g.hits += 1;
@@ -1638,9 +1590,9 @@ mod tests {
         // The two largest digests survive, whatever order they arrived
         // in; re-translating a structurally identical copy of a survivor
         // is a hit — the cache keys on content, not identity.
-        let mut ds = [program_digest(&a), program_digest(&b), program_digest(&c)];
+        let mut ds = [a.digest(), b.digest(), c.digest()];
         ds.sort_unstable();
-        let imm = (1..=3).find(|&i| program_digest(&mk(i)) == ds[2]).unwrap();
+        let imm = (1..=3).find(|&i| mk(i).digest() == ds[2]).unwrap();
         cache.translate(&mk(imm));
         assert_eq!(cache.stats().hits, 2);
     }

@@ -22,11 +22,14 @@
 //!   register specifiers (the paper does not publish Sun's encoding; ours
 //!   preserves every architecturally visible property);
 //! * [`fixed`] — the S.15 / S2.13 fixed-point formats and the four SIMD
-//!   saturation modes.
+//!   saturation modes;
+//! * [`hash`] — FNV-1a 64, the content digest of program images
+//!   ([`Program::digest`]), memory snapshots and reports.
 
 pub mod encode;
 pub mod fixed;
 pub mod gen;
+pub mod hash;
 pub mod instr;
 pub mod ops;
 pub mod packet;
@@ -37,6 +40,7 @@ pub use encode::{
     decode_instr, decode_packet, decode_program, encode_instr, encode_packet, encode_program,
 };
 pub use fixed::{FixFmt, SatMode};
+pub use hash::{fnv1a, fnv1a_extend};
 pub use instr::{Instr, Off, RegList, Src};
 pub use ops::{AluOp, CachePolicy, Cond, CvtKind, LatClass, MemWidth};
 pub use packet::{Packet, Program, MAX_SLOTS};

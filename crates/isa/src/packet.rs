@@ -6,6 +6,9 @@
 //! `i`: slot 0 must be an FU0 instruction (memory, control flow, ALU, or
 //! the FU0 math specials), slots 1-3 are compute instructions.
 
+use std::sync::OnceLock;
+
+use crate::hash::{fnv1a, fnv1a_extend};
 use crate::instr::Instr;
 use crate::IsaError;
 
@@ -81,7 +84,8 @@ const NOT_A_PACKET: u32 = u32::MAX;
 
 /// A sequence of packets plus the byte address of each packet, forming a
 /// loaded program image. Packet addresses reflect the variable-length
-/// encoding: a packet of width `w` occupies `4*w` bytes.
+/// encoding: a packet of width `w` occupies `4*w` bytes. A program is
+/// immutable once built, so its content digest is computed at most once.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     packets: Vec<Packet>,
@@ -91,6 +95,8 @@ pub struct Program {
     /// [`Program::index_of`] a bounds check and one load.
     word_index: Vec<u32>,
     base: u32,
+    /// [`Program::digest`], once something has asked for it.
+    digest: OnceLock<u64>,
 }
 
 impl Program {
@@ -105,7 +111,33 @@ impl Program {
             word_index.push(i as u32);
             word_index.extend((1..p.width()).map(|_| NOT_A_PACKET));
         }
-        Program { packets, addrs, word_index, base }
+        Program { packets, addrs, word_index, base, digest: OnceLock::new() }
+    }
+
+    /// FNV-1a content digest of the image: the base address followed by
+    /// the encoded packet bytes — the key of the translation cache. A
+    /// program with a packet that has no binary encoding (the hand-built
+    /// `vld` kernel is one) hashes each packet's address and its
+    /// instructions' debug text instead. Both are pure functions of the
+    /// program value; the first call computes the digest and every later
+    /// call, on this program or a clone of it, returns the stored value.
+    pub fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let h = fnv1a(&self.base.to_le_bytes());
+            match crate::encode::encode_program(&self.packets) {
+                Ok(bytes) => fnv1a_extend(h, &bytes),
+                Err(_) => {
+                    let mut h = fnv1a_extend(h, &[0xFF]);
+                    for (p, addr) in self.packets.iter().zip(&self.addrs) {
+                        h = fnv1a_extend(h, &addr.to_le_bytes());
+                        for (_fu, ins) in p.slots() {
+                            h = fnv1a_extend(h, format!("{ins:?}").as_bytes());
+                        }
+                    }
+                    h
+                }
+            }
+        })
     }
 
     #[inline]
@@ -208,6 +240,18 @@ mod tests {
         assert_eq!(prog.index_of(0x1004), Some(1));
         assert_eq!(prog.index_of(0x1006), None);
         assert!(prog.fetch(0x1010).is_some());
+    }
+
+    #[test]
+    fn a_clone_reports_the_same_digest() {
+        let fresh = mixed_widths();
+        let asked = mixed_widths();
+        let d = asked.digest();
+        // Cloned after the memo is set, and before.
+        assert_eq!(asked.clone().digest(), d);
+        assert_eq!(fresh.clone().digest(), d);
+        assert_eq!(fresh.digest(), d);
+        assert_ne!(Program::new(0x2004, fresh.packets().to_vec()).digest(), d, "base is hashed");
     }
 
     /// A program at a non-zero base: widths 1, 4, 2 at 0x2000, 0x2004, 0x2014.

@@ -33,5 +33,6 @@ pub use dram::{Dram, DramConfig, DramSpanRec, DramStats, MemBackend, PerfectMem}
 pub use fault::{FaultEvent, FaultInjector, FaultPlan, FaultSite, XorShift64};
 pub use flat::{FlatMem, MemDiff};
 pub use icache::{ICache, ICacheConfig};
-pub use snapshot::{fnv1a, fnv1a_extend, SnapError};
+pub use majc_isa::{fnv1a, fnv1a_extend};
+pub use snapshot::SnapError;
 pub use tags::{CacheStats, TagArray, Victim};

@@ -10,27 +10,10 @@
 //! checkpoint files be compared with `cmp` and cached by content digest.
 
 use crate::flat::{FlatMem, PAGE_SIZE};
+use majc_isa::{fnv1a, fnv1a_extend};
 
 /// Magic + version tag opening every memory snapshot.
 pub const MEM_MAGIC: &[u8; 8] = b"MAJCMEM1";
-
-/// FNV-1a over arbitrary bytes — the snapshot fingerprint (the same
-/// scheme the simulation farm stamps its merged reports with).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(0xCBF2_9CE4_8422_2325, bytes)
-}
-
-/// Continue the FNV-1a digest `h` over `bytes`: `fnv1a_extend(fnv1a(a), b)`
-/// equals `fnv1a` of `a` followed by `b`, so a digest can be built
-/// incrementally without concatenating its parts.
-#[inline]
-pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Why a snapshot failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,12 +190,5 @@ mod tests {
         assert_eq!(bytes.len(), 8 + 4 + 8);
         let back = FlatMem::from_snapshot(&bytes).unwrap();
         assert_eq!(back.pages_touched(), 0);
-    }
-
-    #[test]
-    fn fnv1a_matches_known_vectors() {
-        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a_extend(fnv1a(b"fo"), b"obar"), fnv1a(b"foobar"));
     }
 }

@@ -86,10 +86,9 @@ impl ExecCtx {
         names
     }
 
-    /// Assemble source, memoized on the source digest. The bool reports a
-    /// cache hit.
-    fn assemble_cached(&self, source: &str) -> Result<(Arc<Program>, bool), String> {
-        let key = fnv1a(source.as_bytes());
+    /// Assemble source, memoized on `key`, the source's FNV-1a digest.
+    /// The bool reports a cache hit.
+    fn assemble_cached(&self, source: &str, key: u64) -> Result<(Arc<Program>, bool), String> {
         {
             let cache = self.prog_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(prog) = cache.get(&key) {
@@ -116,19 +115,21 @@ impl ExecCtx {
         }
     }
 
+    /// The response `digest` is the program cache's key, hashed once.
     fn run_assemble(&self, source: &str) -> Status {
-        match self.assemble_cached(source) {
+        let digest = fnv1a(source.as_bytes());
+        match self.assemble_cached(source, digest) {
             Err(e) => Status::Failed { kind: "asm".into(), detail: e },
             Ok((prog, cached)) => Status::Ok(vec![
                 ("packets".into(), Val::U64(prog.len() as u64)),
-                ("digest".into(), Val::Str(format!("{:016x}", fnv1a(source.as_bytes())))),
+                ("digest".into(), Val::Str(format!("{digest:016x}"))),
                 ("cached".into(), Val::Bool(cached)),
             ]),
         }
     }
 
     fn run_lint(&self, source: &str, strict: bool) -> Status {
-        let prog = match self.assemble_cached(source) {
+        let prog = match self.assemble_cached(source, fnv1a(source.as_bytes())) {
             Err(e) => return Status::Failed { kind: "asm".into(), detail: e },
             Ok((prog, _)) => prog,
         };
@@ -154,7 +155,7 @@ impl ExecCtx {
                 None => Err(Status::Rejected { reason: format!("unknown kernel `{name}`") }),
             }
         } else if let Some(src) = &sim.source {
-            match self.assemble_cached(src) {
+            match self.assemble_cached(src, fnv1a(src.as_bytes())) {
                 Ok((prog, _)) => Ok((prog, FlatMem::new())),
                 Err(e) => Err(Status::Failed { kind: "asm".into(), detail: e }),
             }
