@@ -2,7 +2,8 @@
 //! (DESIGN.md experiment index E1-E10).
 
 use majc_core::{json::quote, BypassModel, TimingConfig};
-use majc_kernels::harness::{measure, run_warm, MemModel, XorShift};
+use majc_isa::XorShift64;
+use majc_kernels::harness::{measure, run_warm, MemModel};
 use majc_kernels::{
     biquad, bitrev, cfir, colorconv, convolve, dct, fft, fir, idct, lms, maxsearch, motion, peak,
     transform_light, vld,
@@ -75,7 +76,7 @@ fn measure_rows(t: &mut Table, jobs: Vec<(String, String, majc_isa::Program, Fla
 /// Table 1: video/image processing benchmarks.
 pub fn table1() -> Table {
     let mut t = Table::new("table1", "Video/Image Processing Benchmarks (per single CPU)");
-    let mut rng = XorShift::new(3);
+    let mut rng = XorShift64::new(3);
 
     let mut coeffs = [0i16; 64];
     coeffs[0] = rng.next_i16(1000);
@@ -144,7 +145,7 @@ pub fn table1() -> Table {
 /// independent simulations, so they run as a Rayon parallel batch.
 pub fn table2() -> Table {
     let mut t = Table::new("table2", "Signal Processing Benchmarks (per single CPU)");
-    let mut rng = XorShift::new(9);
+    let mut rng = XorShift64::new(9);
     let mut jobs: Vec<(String, String, majc_isa::Program, FlatMem, String)> = Vec::new();
     let job = |name: &str, paper: &str, pm: (majc_isa::Program, FlatMem), note: &str| {
         (name.to_string(), paper.to_string(), pm.0, pm.1, note.to_string())
@@ -399,7 +400,7 @@ pub fn fig2() -> Table {
     ));
 
     // Issue-width histogram of a real kernel (FIR).
-    let mut rng = XorShift::new(9);
+    let mut rng = XorShift64::new(9);
     let coeffs: Vec<f32> = (0..fir::TAPS).map(|_| rng.next_f32() * 0.2).collect();
     let xs: Vec<f32> = (0..fir::OUTPUTS + fir::TAPS - 1).map(|_| rng.next_f32()).collect();
     let (p, m) = fir::build(&coeffs, &xs);
@@ -499,7 +500,7 @@ pub fn graphics() -> Table {
 /// Ablations over the design choices the paper highlights.
 pub fn ablations() -> Table {
     let mut t = Table::new("ablations", "Design-choice ablations");
-    let mut rng = XorShift::new(21);
+    let mut rng = XorShift64::new(21);
 
     // Bypass network, on the cross-unit-heavy IDCT dataflow.
     let mut blk = [0i16; 64];
@@ -639,7 +640,7 @@ pub fn faults() -> Table {
 
     const SEED: u64 = 0x5EED_50AC;
     let mut t = Table::new("faults", "Fault-injection soak (FIR kernel, fixed seed)");
-    let mut rng = XorShift::new(12);
+    let mut rng = XorShift64::new(12);
     let coeffs: Vec<f32> = (0..fir::TAPS).map(|_| rng.next_f32() * 0.2).collect();
     let xs: Vec<f32> = (0..fir::OUTPUTS + fir::TAPS - 1).map(|_| rng.next_f32()).collect();
     let (p, m) = fir::build(&coeffs, &xs);
@@ -784,7 +785,7 @@ pub fn memstats() -> Table {
         )
     }
 
-    let mut rng = XorShift::new(3);
+    let mut rng = XorShift64::new(3);
     let mut coeffs = [0i16; 64];
     coeffs[0] = rng.next_i16(1000);
     for _ in 0..12 {
@@ -1352,7 +1353,7 @@ fn capture_events(
 
 /// The standard demo IDCT input (same seed as Table 1).
 fn demo_idct() -> (majc_isa::Program, FlatMem) {
-    let mut rng = XorShift::new(3);
+    let mut rng = XorShift64::new(3);
     let mut coeffs = [0i16; 64];
     coeffs[0] = rng.next_i16(1000);
     for _ in 0..12 {
@@ -1363,7 +1364,7 @@ fn demo_idct() -> (majc_isa::Program, FlatMem) {
 
 /// The standard demo FIR input (same seed as the simulator bench).
 fn demo_fir() -> (majc_isa::Program, FlatMem) {
-    let mut rng = XorShift::new(11);
+    let mut rng = XorShift64::new(11);
     let coeffs: Vec<f32> = (0..fir::TAPS).map(|_| rng.next_f32() * 0.2).collect();
     let input: Vec<f32> = (0..fir::OUTPUTS + fir::TAPS - 1).map(|_| rng.next_f32()).collect();
     fir::build(&coeffs, &input)
@@ -1757,7 +1758,7 @@ fn obs_shard(
     let cycles_per_job = reg.histogram("engine.cycles.per_job", Class::Det, OBS_WORK_BOUNDS);
 
     let seed = crate::farm::shard_seed(OBS_MASTER_SEED, shard as u64);
-    let mut rng = crate::farm::XorShift64Star::new(seed);
+    let mut rng = majc_isa::XorShift64Star::new(seed);
     for _ in 0..JOBS_PER_SHARD {
         let kernel = &names[rng.below(names.len() as u64) as usize];
         // One job in three runs cycle-accurate (the only engine that

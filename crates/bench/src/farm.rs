@@ -21,51 +21,18 @@ use majc_core::{
     json::quote, CycleSim, CycleStats, LocalMemSys, MemLevelStats, TimingConfig, TrapPolicy,
     XlateSim,
 };
-use majc_isa::{Instr, Packet, Program};
+use majc_isa::{mix64, Instr, Packet, Program, XorShift64Star};
 use majc_mem::{fnv1a, FaultPlan, FlatMem, MemDiff};
 
 // ---------------------------------------------------------------------------
 // Seeding
 // ---------------------------------------------------------------------------
 
-/// xorshift64* — the per-shard random stream (Vigna's variant: xorshift
-/// state transition, output scrambled by a 64-bit multiply).
-#[derive(Clone, Debug)]
-pub struct XorShift64Star {
-    state: u64,
-}
-
-impl XorShift64Star {
-    /// Seed the stream; a zero seed (the one fixed point of xorshift) is
-    /// remapped to a nonzero constant.
-    pub fn new(seed: u64) -> XorShift64Star {
-        XorShift64Star { state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed } }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `0..n` (n > 0) by rejection-free modulo; fine for the
-    /// small ranges the farm needs.
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
-
-/// Derive shard `shard`'s seed from the batch's master seed. A
-/// splitmix64-style finalizer decorrelates neighbouring shard ids, so
+/// Derive shard `shard`'s seed from the batch's master seed. The
+/// SplitMix64 finalizer ([`mix64`]) decorrelates neighbouring shard ids, so
 /// shard 7 of master seed S shares no stream prefix with shard 8.
 pub fn shard_seed(master: u64, shard: u64) -> u64 {
-    let mut z = master ^ (shard.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(master ^ (shard.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// A shard's identity and private random stream, handed to the scenario
@@ -478,17 +445,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, shard_seed(0x5EED, 0), "derivation is a pure function");
         assert_ne!(shard_seed(0x5EED, 0), shard_seed(0x5EEE, 0), "master seed matters");
-    }
-
-    #[test]
-    fn xorshift64star_is_deterministic_and_nonzero_safe() {
-        let mut a = XorShift64Star::new(42);
-        let mut b = XorShift64Star::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut z = XorShift64Star::new(0);
-        assert_ne!(z.next_u64(), 0, "zero seed must not collapse the stream");
     }
 
     #[test]

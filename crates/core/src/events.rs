@@ -7,10 +7,11 @@
 //! against the hierarchy, a redirect, a squash, a fault — is emitted as a
 //! typed [`Event`]. With the default [`NullSink`] the emit calls inline to
 //! nothing and the simulator behaves exactly as before; with a
-//! [`MemSink`]/[`JsonlSink`] the full event stream is captured.
+//! [`MemSink`] the full event stream is captured, and `crate::perfetto`
+//! exports it as a Chrome/Perfetto trace.
 //!
 //! Determinism contract: the simulators are deterministic, so the same
-//! program + configuration + seed produces a byte-identical event stream
+//! program + configuration + seed produces an identical event stream
 //! (see `crates/core/tests/observability.rs`). Deep components that the
 //! core cannot reach generically (the crossbar, the DRDRAM channel, the
 //! DTE) keep opt-in record logs which are converted to `Event`s once,
@@ -262,106 +263,6 @@ impl Event {
         let DramSpanRec { start, done, addr, bytes, write } = r;
         Event::DramSpan { start, done, addr, bytes, write }
     }
-
-    /// One stable, dependency-free JSON object per event (field order is
-    /// fixed, all numbers decimal), suitable for line-delimited streams.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(96);
-        match *self {
-            Event::Fetch { cpu, line, at, done, served } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"fetch\",\"cpu\":{cpu},\"line\":{line},\"at\":{at},\"done\":{done},\"served\":\"{}\"}}",
-                    served.name()
-                );
-            }
-            Event::Issue { cpu, ctx, pc, at, width, stalls } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"issue\",\"cpu\":{cpu},\"ctx\":{ctx},\"pc\":{pc},\"at\":{at},\"width\":{width},\"pre\":{},\"pre_cause\":\"{}\",\"ctx_switch\":{},\"ifetch\":{},\"operand\":{},\"bypass\":{},\"fu\":{},\"lsu\":{},\"slot_wait\":[{},{},{},{}]}}",
-                    stalls.pre,
-                    stalls.pre_cause.map(|c| c.name()).unwrap_or("-"),
-                    stalls.ctx_switch,
-                    stalls.ifetch,
-                    stalls.operand,
-                    stalls.bypass,
-                    stalls.fu_structural,
-                    stalls.lsu_structural,
-                    stalls.slot_wait[0],
-                    stalls.slot_wait[1],
-                    stalls.slot_wait[2],
-                    stalls.slot_wait[3],
-                );
-            }
-            Event::Squash { cpu, ctx, pc, at, cause } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"squash\",\"cpu\":{cpu},\"ctx\":{ctx},\"pc\":{pc},\"at\":{at},\"cause\":{cause}}}"
-                );
-            }
-            Event::TrapDeliver { cpu, ctx, pc, vector, cause, at } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"trap\",\"cpu\":{cpu},\"ctx\":{ctx},\"pc\":{pc},\"vector\":{vector},\"cause\":{cause},\"at\":{at}}}"
-                );
-            }
-            Event::Redirect { cpu, ctx, pc, at, kind, penalty } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"redirect\",\"cpu\":{cpu},\"ctx\":{ctx},\"pc\":{pc},\"at\":{at},\"kind\":\"{}\",\"penalty\":{penalty}}}",
-                    kind.name()
-                );
-            }
-            Event::CtxSwitch { cpu, from, to, at } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"ctx_switch\",\"cpu\":{cpu},\"from\":{from},\"to\":{to},\"at\":{at}}}"
-                );
-            }
-            Event::MemTxn { cpu, tag, addr, kind, served, at, done, fault } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"mem\",\"cpu\":{cpu},\"tag\":{tag},\"addr\":{addr},\"kind\":\"{}\",\"served\":\"{}\",\"at\":{at},\"done\":{done},\"fault\":{fault}}}",
-                    dkind_name(kind),
-                    served.name()
-                );
-            }
-            Event::MemRetry { cpu, addr, at, retry_at, reason } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"mem_retry\",\"cpu\":{cpu},\"addr\":{addr},\"at\":{at},\"retry_at\":{retry_at},\"reason\":\"{}\"}}",
-                    reason.name()
-                );
-            }
-            Event::XbarGrant { src, at, done, addr, bytes, write, nacks } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"xbar\",\"src\":{src},\"at\":{at},\"done\":{done},\"addr\":{addr},\"bytes\":{bytes},\"write\":{write},\"nacks\":{nacks}}}"
-                );
-            }
-            Event::DramSpan { start, done, addr, bytes, write } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"dram\",\"start\":{start},\"done\":{done},\"addr\":{addr},\"bytes\":{bytes},\"write\":{write}}}"
-                );
-            }
-            Event::Dma { start, done, bytes } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"dma\",\"start\":{start},\"done\":{done},\"bytes\":{bytes}}}"
-                );
-            }
-            Event::Fault { site, seq, at, addr } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"fault\",\"site\":\"{}\",\"seq\":{seq},\"at\":{at},\"addr\":{addr}}}",
-                    site.name()
-                );
-            }
-        }
-        s
-    }
 }
 
 pub(crate) fn dkind_name(kind: DKind) -> &'static str {
@@ -447,35 +348,6 @@ impl TraceSink for MemSink {
     }
 }
 
-/// Streaming sink: one JSON object per line ([`Event::to_json`]) into any
-/// writer. I/O errors are counted, not propagated (emit sites sit on the
-/// simulator's hot path and cannot fail).
-#[derive(Debug)]
-pub struct JsonlSink<W: std::io::Write> {
-    w: W,
-    pub write_errors: u64,
-}
-
-impl<W: std::io::Write> JsonlSink<W> {
-    pub fn new(w: W) -> JsonlSink<W> {
-        JsonlSink { w, write_errors: 0 }
-    }
-
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: std::io::Write> TraceSink for JsonlSink<W> {
-    fn emit(&mut self, ev: &Event) {
-        let mut line = ev.to_json();
-        line.push('\n');
-        if self.w.write_all(line.as_bytes()).is_err() {
-            self.write_errors += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,57 +388,5 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.dropped(), 3);
         assert_eq!(s.events()[0].timestamp(), 3);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let mut s = JsonlSink::new(Vec::new());
-        s.emit(&Event::Dma { start: 1, done: 9, bytes: 256 });
-        s.emit(&Event::DramSpan { start: 2, done: 12, addr: 64, bytes: 32, write: true });
-        let out = String::from_utf8(s.into_inner()).unwrap();
-        assert_eq!(out.lines().count(), 2);
-        assert!(out.contains("\"ev\":\"dma\""));
-        assert!(out.contains("\"write\":true"));
-    }
-
-    /// A writer that accepts `ok_left` writes and then fails every call
-    /// — a disk-full / closed-pipe stand-in.
-    struct FailAfter {
-        ok_left: usize,
-        attempts: usize,
-    }
-
-    impl std::io::Write for FailAfter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.attempts += 1;
-            if self.ok_left == 0 {
-                return Err(std::io::Error::other("sink failed"));
-            }
-            self.ok_left -= 1;
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_sink_counts_every_drop_on_a_failing_writer() {
-        let mut s = JsonlSink::new(FailAfter { ok_left: 0, attempts: 0 });
-        for at in 0..7u64 {
-            s.emit(&Event::CtxSwitch { cpu: 0, from: 0, to: 1, at });
-        }
-        assert_eq!(s.write_errors, 7, "every drop is counted");
-        assert!(s.into_inner().attempts >= 7, "emit keeps trying, never wedges");
-    }
-
-    #[test]
-    fn jsonl_sink_survives_a_writer_that_fails_mid_stream() {
-        let mut s = JsonlSink::new(FailAfter { ok_left: 3, attempts: 0 });
-        for at in 0..10u64 {
-            s.emit(&Event::CtxSwitch { cpu: 0, from: 0, to: 1, at });
-        }
-        assert_eq!(s.write_errors, 7, "3 delivered, 7 dropped and counted");
     }
 }

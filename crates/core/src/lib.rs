@@ -39,8 +39,8 @@ pub use config::{BypassModel, ThreadingConfig, TimingConfig, TrapPolicy};
 pub use cycle::{CpuCore, CycleSim};
 pub use engine::ExecEngine;
 pub use events::{
-    Event, JsonlSink, MemSink, NullSink, PacketStalls, RedirectKind, RetryReason, Served,
-    StallReason, TraceSink, NUM_STALL_REASONS,
+    Event, MemSink, NullSink, PacketStalls, RedirectKind, RetryReason, Served, StallReason,
+    TraceSink, NUM_STALL_REASONS,
 };
 pub use exec::{branch_taken, exec_slot, Flow, MemEffect, SlotOutcome, Trap};
 pub use func_sim::{FuncSim, FuncStats};

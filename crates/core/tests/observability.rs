@@ -6,12 +6,11 @@
 
 use majc_asm::Asm;
 use majc_core::{
-    trap::cause, CycleSim, Event, JsonlSink, LocalMemSys, MemSink, PerfectPort, StallReason,
-    TimingConfig, TrapPolicy, NUM_STALL_REASONS,
+    trap::cause, CycleSim, Event, LocalMemSys, MemSink, PerfectPort, StallReason, TimingConfig,
+    TrapPolicy, NUM_STALL_REASONS,
 };
-use majc_isa::{AluOp, CachePolicy, Cond, Instr, MemWidth, Off, Reg, Src};
+use majc_isa::{AluOp, CachePolicy, Cond, Instr, MemWidth, Off, Reg, Src, XorShift64};
 use majc_kernels::fir;
-use majc_kernels::harness::XorShift;
 use majc_mem::FlatMem;
 
 /// A small memory-heavy loop: strided loads with a dependent accumulate,
@@ -67,7 +66,7 @@ fn capture(prog: &majc_isa::Program, mem: FlatMem) -> (Vec<Event>, majc_core::Cy
 /// The 64x64 FIR of Table 2 with the seeded input of the reproduction's
 /// demo: a floating-point MAC loop beside the stride kernel's loads.
 fn fir_kernel() -> (majc_isa::Program, FlatMem) {
-    let mut rng = XorShift::new(11);
+    let mut rng = XorShift64::new(11);
     let coeffs: Vec<f32> = (0..fir::TAPS).map(|_| rng.next_f32() * 0.2).collect();
     let input: Vec<f32> = (0..fir::OUTPUTS + fir::TAPS - 1).map(|_| rng.next_f32()).collect();
     fir::build(&coeffs, &input)
@@ -96,13 +95,11 @@ fn null_and_mem_sinks_agree_on_timing() {
 }
 
 #[test]
-fn event_stream_is_byte_identical_across_runs() {
+fn event_stream_is_identical_across_runs() {
     let (prog, mem) = stride_kernel();
     let (a, _) = capture(&prog, mem.clone());
     let (b, _) = capture(&prog, mem);
-    let ja: Vec<String> = a.iter().map(Event::to_json).collect();
-    let jb: Vec<String> = b.iter().map(Event::to_json).collect();
-    assert_eq!(ja.join("\n"), jb.join("\n"), "event stream must be byte-identical");
+    assert_eq!(a, b, "event stream must be identical");
     assert!(!a.is_empty());
 }
 
@@ -178,29 +175,6 @@ fn perfetto_round_trip_validates() {
     let n = majc_core::validate_perfetto(&doc).expect("export must validate");
     assert!(n >= evs.len(), "every event renders at least one trace entry");
     assert_eq!(doc, majc_core::export_perfetto(&evs), "export is deterministic");
-}
-
-#[test]
-fn jsonl_stream_parses_line_by_line() {
-    let (prog, mem) = stride_kernel();
-    let mut sim = CycleSim::with_sink(
-        prog,
-        LocalMemSys::majc5200().with_mem(mem),
-        TimingConfig::default(),
-        JsonlSink::new(Vec::new()),
-    );
-    sim.run(1_000_000).unwrap();
-    assert!(sim.halted());
-    assert_eq!(sim.sink.write_errors, 0);
-    let sink = std::mem::replace(&mut sim.sink, JsonlSink::new(Vec::new()));
-    let out = String::from_utf8(sink.into_inner()).unwrap();
-    let mut lines = 0usize;
-    for line in out.lines() {
-        let v = majc_core::json::parse(line).expect("every emitted line is valid JSON");
-        assert!(v.get("ev").and_then(|e| e.as_str()).is_some(), "line carries a discriminator");
-        lines += 1;
-    }
-    assert!(lines > 100, "stream captured the whole run: {lines} lines");
 }
 
 #[test]

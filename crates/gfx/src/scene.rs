@@ -1,35 +1,14 @@
 //! Synthetic scene generation: smooth triangle strips approximating the
 //! meshes a geometry-compression pipeline carries.
 
+use majc_isa::XorShift64;
+
 use crate::compress::{Strip, Vertex};
-
-/// Tiny deterministic PRNG (xorshift), self-contained for this crate.
-#[derive(Clone)]
-pub struct Rng(u64);
-
-impl Rng {
-    pub fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    pub fn next_f32(&mut self) -> f32 {
-        ((self.next_u64() >> 32) as f64 / u32::MAX as f64 * 2.0 - 1.0) as f32
-    }
-}
 
 /// `n_strips` strips of `len` vertices each, walking a smooth wavy surface
 /// (small deltas => realistic compression behaviour).
 pub fn demo_strips(n_strips: usize, len: usize, seed: u64) -> Vec<Strip> {
-    let mut rng = Rng::new(seed);
+    let mut rng = XorShift64::new(seed);
     (0..n_strips)
         .map(|s| {
             let y0 = s as f32 * 2.0 - n_strips as f32;

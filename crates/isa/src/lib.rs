@@ -45,7 +45,7 @@ pub use instr::{Instr, Off, RegList, Src};
 pub use ops::{AluOp, CachePolicy, Cond, CvtKind, LatClass, MemWidth};
 pub use packet::{Packet, Program, MAX_SLOTS};
 pub use reg::{Reg, NUM_FUS, NUM_GLOBALS, NUM_LOCALS_PER_FU, NUM_REGS};
-pub use rng::SplitMix64;
+pub use rng::{mix64, SplitMix64, XorShift64, XorShift64Star};
 
 /// Errors produced while constructing, encoding, or decoding instructions.
 #[derive(Clone, PartialEq, Eq, Debug)]

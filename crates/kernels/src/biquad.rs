@@ -13,10 +13,10 @@
 //! each sample, so the sample loop is fully unrolled.
 
 use majc_asm::Asm;
-use majc_isa::{Instr, MemWidth, Off, Program, Reg};
+use majc_isa::{Instr, MemWidth, Off, Program, Reg, XorShift64};
 use majc_mem::FlatMem;
 
-use crate::harness::{layout, put_f32s, XorShift};
+use crate::harness::{layout, put_f32s};
 
 pub const STAGES: usize = 8;
 
@@ -32,7 +32,7 @@ pub struct Cascade {
 impl Cascade {
     /// A stable, deterministic cascade for benchmarking.
     pub fn demo(seed: u64) -> Cascade {
-        let mut rng = XorShift::new(seed);
+        let mut rng = XorShift64::new(seed);
         let mut coeffs = [(0.0f32, 0.0, 0.0, 0.0, 0.0); STAGES];
         for c in &mut coeffs {
             // Poles safely inside the unit circle (stability triangle).
@@ -231,7 +231,7 @@ mod tests {
     use crate::harness::{measure, run_func, MemModel};
 
     fn demo_input(n: usize) -> Vec<f32> {
-        let mut rng = XorShift::new(7);
+        let mut rng = XorShift64::new(7);
         (0..n).map(|_| rng.next_f32()).collect()
     }
 

@@ -132,10 +132,11 @@ pub fn extract(mem: &mut FlatMem) -> Vec<(f32, f32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{measure, run_func, XorShift};
+    use crate::harness::{measure, run_func};
+    use majc_isa::XorShift64;
 
     fn workload() -> Vec<(f32, f32)> {
-        let mut rng = XorShift::new(77);
+        let mut rng = XorShift64::new(77);
         (0..N).map(|_| (rng.next_f32(), rng.next_f32())).collect()
     }
 

@@ -242,10 +242,11 @@ pub fn extract(mem: &mut FlatMem, n: usize) -> Vec<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{measure, run_func, XorShift};
+    use crate::harness::{measure, run_func};
+    use majc_isa::XorShift64;
 
     fn workload() -> (Vec<C>, Vec<C>) {
-        let mut rng = XorShift::new(31);
+        let mut rng = XorShift64::new(31);
         let c: Vec<C> = (0..TAPS).map(|_| (rng.next_f32() * 0.2, rng.next_f32() * 0.2)).collect();
         let x: Vec<C> = (0..OUTPUTS + TAPS - 1).map(|_| (rng.next_f32(), rng.next_f32())).collect();
         (c, x)

@@ -254,11 +254,12 @@ pub fn extract(mem: &mut FlatMem) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_func, run_warm, MemModel, XorShift};
+    use crate::harness::{run_func, run_warm, MemModel};
+    use majc_isa::XorShift64;
 
     #[test]
     fn matches_reference() {
-        let mut rng = XorShift::new(5);
+        let mut rng = XorShift64::new(5);
         let r: Vec<i16> = (0..PIXELS).map(|_| rng.next_i16(255).abs()).collect();
         let g: Vec<i16> = (0..PIXELS).map(|_| rng.next_i16(255).abs()).collect();
         let b: Vec<i16> = (0..PIXELS).map(|_| rng.next_i16(255).abs()).collect();
@@ -281,7 +282,7 @@ mod tests {
 
     #[test]
     fn cycles_near_paper_900k() {
-        let mut rng = XorShift::new(6);
+        let mut rng = XorShift64::new(6);
         let r: Vec<i16> = (0..PIXELS).map(|_| rng.next_i16(255).abs()).collect();
         let g: Vec<i16> = (0..PIXELS).map(|_| rng.next_i16(255).abs()).collect();
         let b: Vec<i16> = (0..PIXELS).map(|_| rng.next_i16(255).abs()).collect();

@@ -255,10 +255,11 @@ pub fn extract(mem: &mut FlatMem) -> Vec<i16> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_func, run_warm, MemModel, XorShift};
+    use crate::harness::{run_func, run_warm, MemModel};
+    use majc_isa::XorShift64;
 
     fn workload() -> Vec<i16> {
-        let mut rng = XorShift::new(13);
+        let mut rng = XorShift64::new(13);
         (0..WIDTH * HEIGHT).map(|_| rng.next_i16(255).abs()).collect()
     }
 

@@ -273,10 +273,11 @@ pub fn demo_qmatrix(qscale: u16) -> [u16; 64] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{measure, run_func, XorShift};
+    use crate::harness::{measure, run_func};
+    use majc_isa::XorShift64;
 
     fn workload(seed: u64) -> [i16; 64] {
-        let mut rng = XorShift::new(seed);
+        let mut rng = XorShift64::new(seed);
         std::array::from_fn(|_| rng.next_i16(255))
     }
 

@@ -128,11 +128,12 @@ pub fn extract(mem: &mut FlatMem) -> [f64; 64] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{measure, run_func, run_warm, MemModel, XorShift};
+    use crate::harness::{measure, run_func, run_warm, MemModel};
     use majc_core::TimingConfig;
+    use majc_isa::XorShift64;
 
     fn workload() -> ([f64; 64], [f64; 64]) {
-        let mut rng = XorShift::new(13);
+        let mut rng = XorShift64::new(13);
         (
             std::array::from_fn(|_| rng.next_f32() as f64),
             std::array::from_fn(|_| rng.next_f32() as f64),

@@ -399,10 +399,11 @@ pub fn build_radix4(data_digitrev: &[C]) -> (Program, FlatMem) {
 mod tests {
     use super::*;
     use crate::bitrev::rev;
-    use crate::harness::{measure, run_func, XorShift};
+    use crate::harness::{measure, run_func};
+    use majc_isa::XorShift64;
 
     fn workload() -> Vec<C> {
-        let mut rng = XorShift::new(99);
+        let mut rng = XorShift64::new(99);
         (0..N).map(|_| (rng.next_f32(), rng.next_f32())).collect()
     }
 

@@ -183,10 +183,11 @@ pub fn extract(mem: &mut FlatMem, n: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{measure, run_func, XorShift};
+    use crate::harness::{measure, run_func};
+    use majc_isa::XorShift64;
 
     fn workload() -> (Vec<f32>, Vec<f32>) {
-        let mut rng = XorShift::new(11);
+        let mut rng = XorShift64::new(11);
         let coeffs: Vec<f32> = (0..TAPS).map(|_| rng.next_f32() * 0.2).collect();
         let input: Vec<f32> = (0..OUTPUTS + TAPS - 1).map(|_| rng.next_f32()).collect();
         (coeffs, input)

@@ -172,57 +172,9 @@ pub mod layout {
     pub const SCRATCH: u32 = 0x0005_0000;
 }
 
-/// A deterministic xorshift PRNG for workload generation (no external
-/// crates needed at kernel-build time, reproducible across runs).
-#[derive(Clone, Debug)]
-pub struct XorShift(u64);
-
-impl XorShift {
-    pub fn new(seed: u64) -> XorShift {
-        XorShift(seed.max(1))
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Uniform float in [-1, 1).
-    pub fn next_f32(&mut self) -> f32 {
-        (self.next_u32() as f64 / u32::MAX as f64 * 2.0 - 1.0) as f32
-    }
-
-    /// Uniform i16 in [-max, max].
-    pub fn next_i16(&mut self, max: i16) -> i16 {
-        let span = 2 * max as i64 + 1;
-        ((self.next_u64() % span as u64) as i64 - max as i64) as i16
-    }
-
-    pub fn next_range(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prng_is_deterministic() {
-        let mut a = XorShift::new(42);
-        let mut b = XorShift::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
 
     #[test]
     fn memory_helpers_round_trip() {

@@ -542,10 +542,11 @@ pub fn float_idct(coeffs: &[i16; 64]) -> [f64; 64] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{measure, run_func, XorShift};
+    use crate::harness::{measure, run_func};
+    use majc_isa::XorShift64;
 
     fn workload(seed: u64) -> [i16; 64] {
-        let mut rng = XorShift::new(seed);
+        let mut rng = XorShift64::new(seed);
         let mut c = [0i16; 64];
         c[0] = rng.next_i16(1000);
         // Sparse AC coefficients, like real dequantised blocks.

@@ -184,10 +184,11 @@ pub fn extract(mem: &mut FlatMem) -> (Vec<f32>, f32, f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{measure, run_func, XorShift};
+    use crate::harness::{measure, run_func};
+    use majc_isa::XorShift64;
 
     fn workload() -> (Vec<f32>, Vec<f32>, f32, f32) {
-        let mut rng = XorShift::new(21);
+        let mut rng = XorShift64::new(21);
         let w: Vec<f32> = (0..ORDER).map(|_| rng.next_f32() * 0.5).collect();
         let x: Vec<f32> = (0..ORDER).map(|_| rng.next_f32()).collect();
         (w, x, rng.next_f32(), 0.05)

@@ -92,10 +92,11 @@ pub fn extract(mem: &mut FlatMem) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{measure, run_func, XorShift};
+    use crate::harness::{measure, run_func};
+    use majc_isa::XorShift64;
 
     fn workload(seed: u64) -> Vec<f32> {
-        let mut rng = XorShift::new(seed);
+        let mut rng = XorShift64::new(seed);
         (0..N).map(|_| rng.next_f32() * 100.0).collect()
     }
 

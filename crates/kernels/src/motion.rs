@@ -288,7 +288,7 @@ pub fn extract(mem: &mut FlatMem) -> (i32, i32, u32) {
 
 /// Generate a frame plus a current block displaced by (dx, dy) with noise.
 pub fn workload(seed: u64, dx: i32, dy: i32) -> (Vec<u8>, Vec<u8>) {
-    let mut rng = crate::harness::XorShift::new(seed);
+    let mut rng = majc_isa::XorShift64::new(seed);
     // Smooth-ish random field so the SAD surface has a usable gradient.
     let mut frame = vec![0u8; FRAME * FRAME];
     for y in 0..FRAME {

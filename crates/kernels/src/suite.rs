@@ -8,10 +8,9 @@
 use std::sync::Arc;
 
 use majc_gen::{GenProgram, SelfCheck};
-use majc_isa::Program;
+use majc_isa::{Program, XorShift64};
 use majc_mem::FlatMem;
 
-use crate::harness::XorShift;
 use crate::*;
 
 /// One ready-to-run scenario: a program image (shareable across farm
@@ -78,46 +77,46 @@ pub fn cases() -> Vec<SuiteCase> {
     let mut out = Vec::new();
 
     let c = biquad::Cascade::demo(4);
-    let mut rng = XorShift::new(11);
+    let mut rng = XorShift64::new(11);
     let input: Vec<f32> = (0..64).map(|_| rng.next_f32()).collect();
     out.push(case("biquad", biquad::build(&c, &input), false));
 
-    let mut rng = XorShift::new(12);
+    let mut rng = XorShift64::new(12);
     let coeffs: Vec<f32> = (0..fir::TAPS).map(|_| rng.next_f32() * 0.2).collect();
     let xs: Vec<f32> = (0..fir::OUTPUTS + fir::TAPS - 1).map(|_| rng.next_f32()).collect();
     out.push(case("fir", fir::build(&coeffs, &xs), false));
 
-    let mut rng = XorShift::new(13);
+    let mut rng = XorShift64::new(13);
     let cc: Vec<(f32, f32)> =
         (0..cfir::TAPS).map(|_| (rng.next_f32() * 0.2, rng.next_f32() * 0.2)).collect();
     let cx: Vec<(f32, f32)> =
         (0..cfir::OUTPUTS + cfir::TAPS - 1).map(|_| (rng.next_f32(), rng.next_f32())).collect();
     out.push(case("cfir", cfir::build(&cc, &cx), false));
 
-    let mut rng = XorShift::new(14);
+    let mut rng = XorShift64::new(14);
     let w: Vec<f32> = (0..lms::ORDER).map(|_| rng.next_f32() * 0.5).collect();
     let x: Vec<f32> = (0..lms::ORDER).map(|_| rng.next_f32()).collect();
     out.push(case("lms", lms::build(&w, &x, rng.next_f32(), 0.05), false));
 
-    let mut rng = XorShift::new(15);
+    let mut rng = XorShift64::new(15);
     let xs: Vec<f32> = (0..maxsearch::N).map(|_| rng.next_f32() * 100.0).collect();
     out.push(case("maxsearch", maxsearch::build(&xs), false));
 
-    let mut rng = XorShift::new(16);
+    let mut rng = XorShift64::new(16);
     let data: Vec<(f32, f32)> = (0..fft::N).map(|_| (rng.next_f32(), rng.next_f32())).collect();
     let pre2: Vec<(f32, f32)> = (0..fft::N).map(|i| data[bitrev::rev(i)]).collect();
     out.push(case("fft-radix2", fft::build_radix2(&pre2), false));
 
-    let mut rng = XorShift::new(17);
+    let mut rng = XorShift64::new(17);
     let data: Vec<(f32, f32)> = (0..fft::N).map(|_| (rng.next_f32(), rng.next_f32())).collect();
     let pre4: Vec<(f32, f32)> = (0..fft::N).map(|i| data[fft::digit_rev4(i)]).collect();
     out.push(case("fft-radix4", fft::build_radix4(&pre4), false));
 
-    let mut rng = XorShift::new(18);
+    let mut rng = XorShift64::new(18);
     let data: Vec<(f32, f32)> = (0..fft::N).map(|_| (rng.next_f32(), rng.next_f32())).collect();
     out.push(case("bitrev", bitrev::build(&data), false));
 
-    let mut rng = XorShift::new(19);
+    let mut rng = XorShift64::new(19);
     let mut coeffs = [0i16; 64];
     coeffs[0] = rng.next_i16(1000);
     for _ in 0..12 {
@@ -125,7 +124,7 @@ pub fn cases() -> Vec<SuiteCase> {
     }
     out.push(case("idct", idct::build(&coeffs), false));
 
-    let mut rng = XorShift::new(20);
+    let mut rng = XorShift64::new(20);
     let px: [i16; 64] = std::array::from_fn(|_| rng.next_i16(255));
     out.push(case("dct", dct::build(&px, &dct::demo_qmatrix(2)), false));
 
@@ -136,7 +135,7 @@ pub fn cases() -> Vec<SuiteCase> {
     let (frame, cur) = motion::workload(7, 6, -4);
     out.push(case("motion", motion::build(&frame, &cur), false));
 
-    let mut rng = XorShift::new(21);
+    let mut rng = XorShift64::new(21);
     let a: [f64; 64] = std::array::from_fn(|_| rng.next_f32() as f64);
     let b: [f64; 64] = std::array::from_fn(|_| rng.next_f32() as f64);
     out.push(case("dmatmul", dmatmul::build(&a, &b), false));
@@ -151,12 +150,12 @@ pub fn cases() -> Vec<SuiteCase> {
     out.push(case("transform-light", transform_light::build(&mat, &light, &vs), false));
 
     // The two 512x512 image kernels run for about a megacycle each.
-    let mut rng = XorShift::new(22);
+    let mut rng = XorShift64::new(22);
     let img: Vec<i16> =
         (0..convolve::WIDTH * convolve::HEIGHT).map(|_| rng.next_i16(255).abs()).collect();
     out.push(case("convolve", convolve::build(&img, &convolve::demo_kernel()), true));
 
-    let mut rng = XorShift::new(23);
+    let mut rng = XorShift64::new(23);
     let n = colorconv::WIDTH * colorconv::HEIGHT;
     let r: Vec<i16> = (0..n).map(|_| rng.next_i16(255).abs()).collect();
     let g: Vec<i16> = (0..n).map(|_| rng.next_i16(255).abs()).collect();

@@ -239,7 +239,7 @@ pub fn cycles_per_vertex(n: usize) -> f64 {
 pub fn demo_scene(n: usize) -> (Mat, Light, Vec<Vertex>) {
     let m: Mat = [[0.8, -0.36, 0.48, 1.5], [0.6, 0.48, -0.64, -0.25], [0.0, 0.8, 0.6, 10.0]];
     let l = Light { dir: [0.577, 0.577, 0.577], color: [0.9, 0.7, 0.4] };
-    let mut rng = crate::harness::XorShift::new(17);
+    let mut rng = majc_isa::XorShift64::new(17);
     let vs = (0..n)
         .map(|_| Vertex {
             pos: [rng.next_f32() * 4.0, rng.next_f32() * 4.0, rng.next_f32() * 4.0],

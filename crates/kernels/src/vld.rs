@@ -17,10 +17,10 @@
 //! one load.
 
 use majc_asm::Asm;
-use majc_isa::{AluOp, CachePolicy, Cond, Instr, MemWidth, Off, Program, Reg, Src};
+use majc_isa::{AluOp, CachePolicy, Cond, Instr, MemWidth, Off, Program, Reg, Src, XorShift64};
 use majc_mem::FlatMem;
 
-use crate::harness::{put_u32s, XorShift};
+use crate::harness::put_u32s;
 
 /// Symbol alphabet: EOB plus (run 0..=6, |level| 1..=4) — 57 symbols, all
 /// with Exp-Golomb codes of at most 11 bits.
@@ -350,7 +350,7 @@ pub fn extract(mem: &mut FlatMem, nblocks: usize) -> Vec<[i16; 64]> {
 
 /// Generate random coded blocks with geometric-ish run/level statistics.
 pub fn workload(seed: u64, nblocks: usize) -> Vec<BlockSyms> {
-    let mut rng = XorShift::new(seed);
+    let mut rng = XorShift64::new(seed);
     (0..nblocks)
         .map(|_| {
             let mut syms = Vec::new();

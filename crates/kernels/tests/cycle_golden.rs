@@ -14,8 +14,7 @@
 //! one shared memory image, as in the `dual_cpu_video` example).
 
 use majc_core::{CycleSim, CycleStats, LocalMemSys, TimingConfig};
-use majc_isa::Program;
-use majc_kernels::harness::XorShift;
+use majc_isa::{Program, XorShift64};
 use majc_kernels::suite::{self, SuiteCase};
 use majc_kernels::{idct, vld};
 use majc_mem::FlatMem;
@@ -70,7 +69,7 @@ fn run_dual() -> [String; 2] {
     let (stream, _nsym) = vld::encode(&blocks);
     let (vld_prog, vld_mem) = vld::build(&stream, blocks.len());
 
-    let mut rng = XorShift::new(7);
+    let mut rng = XorShift64::new(7);
     let mut coeffs = [0i16; 64];
     for _ in 0..12 {
         coeffs[rng.next_range(64)] = rng.next_i16(300);

@@ -3,8 +3,7 @@
 //! — must lint clean under the default model. The linter gates real
 //! hand-scheduled code, not just toy examples.
 
-use majc_isa::Program;
-use majc_kernels::harness::XorShift;
+use majc_isa::{Program, XorShift64};
 use majc_kernels::{
     biquad, bitrev, cfir, colorconv, convolve, dct, dmatmul, fft, fir, idct, lms, maxsearch,
     motion, peak, transform_light, vld,
@@ -12,7 +11,7 @@ use majc_kernels::{
 use majc_lint::{lint, LintOptions};
 
 fn corpus() -> Vec<(&'static str, Program)> {
-    let mut rng = XorShift::new(3);
+    let mut rng = XorShift64::new(3);
     let mut out: Vec<(&'static str, Program)> = Vec::new();
 
     let mut coeffs = [0i16; 64];

@@ -12,31 +12,7 @@
 //! every fault that lands as a [`FaultEvent`]. Because the simulators are
 //! deterministic, the same seed reproduces the identical event trace.
 
-/// The in-tree xorshift64 generator (no external dependencies).
-#[derive(Clone, Debug)]
-pub struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    pub fn new(seed: u64) -> XorShift64 {
-        // Splitmix-style scramble so nearby seeds diverge and zero is legal.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        XorShift64 { state: (z ^ (z >> 31)) | 1 }
-    }
-
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-}
+use majc_isa::{SplitMix64, XorShift64};
 
 /// Named injection sites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,9 +72,12 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     pub fn new(site: FaultSite, seed: u64, rate: u64) -> FaultInjector {
+        // xorshift64 from a SplitMix64-scrambled seed, so nearby seeds
+        // diverge and zero is legal.
+        let mut scramble = SplitMix64::new(seed ^ site.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15));
         FaultInjector {
             site,
-            rng: XorShift64::new(seed ^ site.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            rng: XorShift64::new(scramble.next_u64() | 1),
             rate,
             seq: 0,
             events: Vec::new(),
@@ -184,17 +163,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn same_seed_same_stream() {
-        let mut a = XorShift64::new(42);
-        let mut b = XorShift64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut c = XorShift64::new(43);
-        assert_ne!(a.next_u64(), c.next_u64());
-    }
 
     #[test]
     fn injector_is_deterministic_and_logs() {

@@ -30,7 +30,7 @@ pub mod tags;
 
 pub use dcache::{DCache, DCacheConfig, DKind, DPolicy, DStall, Served};
 pub use dram::{Dram, DramConfig, DramSpanRec, DramStats, MemBackend, PerfectMem};
-pub use fault::{FaultEvent, FaultInjector, FaultPlan, FaultSite, XorShift64};
+pub use fault::{FaultEvent, FaultInjector, FaultPlan, FaultSite};
 pub use flat::{FlatMem, MemDiff};
 pub use icache::{ICache, ICacheConfig};
 pub use majc_isa::{fnv1a, fnv1a_extend};

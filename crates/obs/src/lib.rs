@@ -13,8 +13,8 @@
 //!   non-deterministic section of the same snapshot.
 //! * [`JobSpan`] — one record per job covering the full request
 //!   lifecycle (accept → queue wait → worker service → reply), kept in a
-//!   bounded [`SpanLog`] and exportable as JSONL via
-//!   [`JsonlSpanWriter`]; `majc-serve` additionally renders spans as
+//!   bounded [`SpanLog`]; each span renders as one JSON line
+//!   ([`JobSpan::to_jsonl`]), and `majc-serve` renders span sets as
 //!   Perfetto timelines through `majc_core::perfetto::TraceDoc`.
 //!
 //! The crate is intentionally std-only — CI gates that it stays that
@@ -24,4 +24,4 @@ pub mod metrics;
 pub mod span;
 
 pub use metrics::{Class, Counter, Gauge, Histogram, MetricValue, MetricsRegistry, Snapshot};
-pub use span::{JobSpan, JsonlSpanWriter, SpanLog};
+pub use span::{JobSpan, SpanLog};

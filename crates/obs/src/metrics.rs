@@ -99,6 +99,10 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
+
+    pub fn sum(&self) -> u64 {
+        self.0.sum.load(Ordering::Relaxed)
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -410,6 +414,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        assert_eq!((h.count(), h.sum()), (6, 5222), "live reads match the snapshot");
     }
 
     #[test]

@@ -7,12 +7,9 @@
 //! epoch — wall-clock data, never part of a deterministic report.
 //!
 //! Spans accumulate in a bounded [`SpanLog`] (overflow is counted, not
-//! silently dropped) and export as JSON lines via [`JsonlSpanWriter`],
-//! which mirrors the `majc_core::events::JsonlSink` contract: a failing
-//! writer counts every dropped line and never panics the worker that
-//! produced the span.
+//! silently dropped); each renders as one JSON line via
+//! [`JobSpan::to_jsonl`].
 
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -138,44 +135,6 @@ impl SpanLog {
     }
 }
 
-/// JSONL exporter with the same failure contract as
-/// `majc_core::events::JsonlSink`: write failures are counted per
-/// dropped line and never propagate.
-pub struct JsonlSpanWriter<W: Write> {
-    w: W,
-    /// Spans dropped because the underlying writer failed.
-    pub write_errors: u64,
-}
-
-impl<W: Write> JsonlSpanWriter<W> {
-    pub fn new(w: W) -> JsonlSpanWriter<W> {
-        JsonlSpanWriter { w, write_errors: 0 }
-    }
-
-    /// Write one span as a JSON line; a failing writer only bumps
-    /// `write_errors`.
-    pub fn emit(&mut self, span: &JobSpan) {
-        let mut line = span.to_jsonl();
-        line.push('\n');
-        if self.w.write_all(line.as_bytes()).is_err() {
-            self.write_errors += 1;
-        }
-    }
-
-    /// Emit every span; returns the number dropped by this call.
-    pub fn emit_all(&mut self, spans: &[JobSpan]) -> u64 {
-        let before = self.write_errors;
-        for s in spans {
-            self.emit(s);
-        }
-        self.write_errors - before
-    }
-
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,32 +190,5 @@ mod tests {
         assert_eq!(log.dropped(), 1);
         let seqs: Vec<u64> = log.snapshot().iter().map(|s| s.seq).collect();
         assert_eq!(seqs, [1, 2], "snapshot sorts by seq");
-    }
-
-    struct FailAfter {
-        ok_left: usize,
-    }
-
-    impl Write for FailAfter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.ok_left == 0 {
-                return Err(std::io::Error::other("sink full"));
-            }
-            self.ok_left -= 1;
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn failing_writer_counts_every_drop_and_never_panics() {
-        let spans: Vec<JobSpan> = (0..5).map(span).collect();
-        let mut w = JsonlSpanWriter::new(FailAfter { ok_left: 2 });
-        let dropped = w.emit_all(&spans);
-        assert_eq!(dropped, 3);
-        assert_eq!(w.write_errors, 3);
     }
 }

@@ -177,10 +177,6 @@ struct Shared {
     job_seq: AtomicU64,
     events: mpsc::Sender<WorkerEvent>,
     obs: Telemetry,
-    /// Jobs retired by workers — the denominator of the drain rate.
-    drained_jobs: AtomicU64,
-    /// Total worker service time (µs) — the numerator of the drain rate.
-    service_us_total: AtomicU64,
 }
 
 impl Shared {
@@ -204,11 +200,12 @@ impl Shared {
     /// Backoff a `busy` answer declares right now, from the measured
     /// drain rate; also published as the `busy.retry_after_ms` gauge.
     fn derived_retry_after_ms(&self) -> u64 {
+        let service = &self.obs.service_us;
         let ms = derive_retry_after_ms(
             self.queue.depth(),
             self.queue.capacity(),
-            self.drained_jobs.load(Ordering::Relaxed),
-            self.service_us_total.load(Ordering::Relaxed),
+            service.count(),
+            service.sum(),
             self.cfg.workers,
         );
         self.obs.retry_after_ms.set(ms);
@@ -368,8 +365,6 @@ pub fn start(port: u16, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         job_seq: AtomicU64::new(0),
         events,
         obs: Telemetry::default(),
-        drained_jobs: AtomicU64::new(0),
-        service_us_total: AtomicU64::new(0),
     });
 
     for _ in 0..cfg.workers {
@@ -472,8 +467,6 @@ fn worker_loop(shared: &Arc<Shared>, generation: u64) {
             Status::Busy { .. } => unreachable!("workers never emit busy"),
         };
         let end_us = shared.obs.now_us();
-        shared.drained_jobs.fetch_add(1, Ordering::Relaxed);
-        shared.service_us_total.fetch_add(end_us.saturating_sub(start_us), Ordering::Relaxed);
         let outcome_name = match &status {
             _ if died => "killed",
             Status::Ok(_) => "ok",

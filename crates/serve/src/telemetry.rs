@@ -55,11 +55,12 @@ pub struct Telemetry {
     cycles_per_job: Histogram,
     // Wall-clock instruments.
     queue_wait_us: Histogram,
-    service_us: Histogram,
+    /// Worker service time of every retired job; its count and sum are
+    /// the drain rate behind the derived `busy` backoff.
+    pub service_us: Histogram,
     pub retry_after_ms: Gauge,
     pub queue_highwater: Gauge,
     span_drops: Counter,
-    pub span_write_errors: Counter,
 }
 
 impl Default for Telemetry {
@@ -84,7 +85,6 @@ impl Telemetry {
             retry_after_ms: r.gauge("busy.retry_after_ms", Class::Wall),
             queue_highwater: r.gauge("queue.depth_highwater", Class::Wall),
             span_drops: r.counter("spans.dropped", Class::Wall),
-            span_write_errors: r.counter("spans.write_errors", Class::Wall),
             spans: SpanLog::new(span_cap),
             epoch: Instant::now(),
             registry,

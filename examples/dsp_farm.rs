@@ -8,11 +8,12 @@
 //! ```
 
 use majc::core::TimingConfig;
-use majc::kernels::harness::{measure, run_warm, MemModel, XorShift};
+use majc::isa::XorShift64;
+use majc::kernels::harness::{measure, run_warm, MemModel};
 use majc::kernels::{biquad, fir, lms};
 
 fn main() {
-    let mut rng = XorShift::new(5);
+    let mut rng = XorShift64::new(5);
 
     // Per-channel chain at 8 kHz: band-pass (8-biquad cascade), 64-tap
     // adaptive echo canceller segment (LMS), and a 64-tap FIR equaliser

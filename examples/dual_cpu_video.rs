@@ -10,7 +10,7 @@
 //! ```
 
 use majc::core::{Event, MemSink, TimingConfig, TraceSink};
-use majc::kernels::harness::XorShift;
+use majc::isa::XorShift64;
 use majc::kernels::{idct, vld};
 use majc::mem::FlatMem;
 use majc::soc::Majc5200;
@@ -34,7 +34,7 @@ fn main() {
     let (vld_prog, vld_mem) = vld::build(&stream, blocks.len());
 
     // CPU1's program: one 8x8 IDCT (rebased so both programs coexist).
-    let mut rng = XorShift::new(7);
+    let mut rng = XorShift64::new(7);
     let mut coeffs = [0i16; 64];
     for _ in 0..12 {
         coeffs[rng.next_range(64)] = rng.next_i16(300);

@@ -134,9 +134,10 @@ fn every_table_regenerates() {
 
 #[test]
 fn kernel_extracts_match_references_end_to_end() {
-    use majc::kernels::harness::{run_func, XorShift};
+    use majc::isa::XorShift64;
+    use majc::kernels::harness::run_func;
     use majc::kernels::{fir, idct};
-    let mut rng = XorShift::new(77);
+    let mut rng = XorShift64::new(77);
     // FIR through the public API.
     let coeffs: Vec<f32> = (0..fir::TAPS).map(|_| rng.next_f32() * 0.2).collect();
     let xs: Vec<f32> = (0..fir::OUTPUTS + fir::TAPS - 1).map(|_| rng.next_f32()).collect();
