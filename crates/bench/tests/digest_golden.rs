@@ -10,10 +10,11 @@
 //! A change that is *meant* to move them updates the tables and says why.
 //!
 //! Inputs: the 16 fast suite kernels (`vld` cannot be encoded, so it pins
-//! the debug-text path), `corpus_cases(1)`, and a slice of the
-//! differential-fuzz stream. Every served job goes through the wire
-//! format: its request line is rendered and parsed back, and its response
-//! is rendered as the line a client would read.
+//! the debug-text path), `corpus_cases(1)`, and a slice of each
+//! differential-fuzz stream: the bench fuzzer's and the one behind
+//! serve's `fuzz` verb. Every served job goes through the wire format:
+//! its request line is rendered and parsed back, and its response is
+//! rendered as the line a client would read.
 
 use std::sync::Arc;
 
@@ -22,6 +23,7 @@ use majc_bench::farm::shard_seed;
 use majc_core::XlateCache;
 use majc_isa::Program;
 use majc_kernels::suite::{corpus_cases, fast_cases, SuiteCase};
+use majc_serve::jobs::fuzz_program as serve_fuzz_program;
 use majc_serve::{Engine, ExecCtx, JobSpec, Request, Response, SimSpec, Val};
 
 /// Programs in the pinned fuzz slice (seeds as `reproduce lintfacts`
@@ -31,6 +33,16 @@ const FUZZ_PROGRAMS: u64 = 24;
 /// Packet budget of every served `simulate` job; each program halts well
 /// inside it.
 const BUDGET: u64 = 50_000_000;
+
+/// Programs in the pinned slice of serve's fuzz stream (seeds `0..24`).
+const SERVE_FUZZ_PROGRAMS: u64 = 24;
+
+/// Served `fuzz` jobs pinned line for line (seeds `0..16`): every stream
+/// flavour and the `seed % 4 == 3` corpus mode.
+const SERVE_FUZZ_JOBS: u64 = 16;
+
+/// Packet budget of every pinned `fuzz` job.
+const FUZZ_JOB_BUDGET: u64 = 20_000;
 
 /// The translation cache's key for `prog`.
 fn digest(prog: &Program) -> u64 {
@@ -61,6 +73,37 @@ fn program_digests_match_recorded_values() {
         actual += &program_line(&format!("fuzz-{k}"), &prog);
     }
     assert_eq!(actual, GOLDEN_PROGRAMS, "program digests moved; the actual table is on the left");
+}
+
+/// Serve's fuzz stream: its program digests, and the full response line
+/// of each `fuzz` job. A `fuzz` job never translates through the
+/// context's cache, so the private cache stays untouched.
+#[test]
+fn serve_fuzz_stream_matches_recorded_values() {
+    let mut programs = String::new();
+    for seed in 0..SERVE_FUZZ_PROGRAMS {
+        programs += &program_line(&format!("serve-fuzz-{seed}"), &serve_fuzz_program(seed));
+    }
+    assert_eq!(
+        programs, GOLDEN_SERVE_FUZZ_PROGRAMS,
+        "serve fuzz digests moved; the actual table is on the left"
+    );
+
+    let cache = Arc::new(XlateCache::new(64));
+    let ctx = ExecCtx::with_xlate_cache(Arc::clone(&cache));
+    let mut lines = String::new();
+    for seed in 0..SERVE_FUZZ_JOBS {
+        let spec = JobSpec::Fuzz { seed, budget: FUZZ_JOB_BUDGET };
+        let (line, _) = serve(&ctx, &format!("fuzz-{seed}"), spec);
+        lines += &line;
+        lines += "\n";
+    }
+    assert_eq!(
+        lines, GOLDEN_FUZZ_LINES,
+        "served fuzz lines moved; the actual lines are on the left"
+    );
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.resident), (0, 0, 0));
 }
 
 /// Serve `spec` through the wire format: render the request line, parse
@@ -209,3 +252,49 @@ branchy-70882a1d sim 59543 48e0c334d98cfddf asm 69 640da9f08e91c5f3
 
 /// FNV-1a over every response line the served test renders, in order.
 const GOLDEN_LINES_DIGEST: &str = "e56b2abe6699abad";
+
+const GOLDEN_SERVE_FUZZ_PROGRAMS: &str = "\
+serve-fuzz-0 ba2c92f04a9c2655 true
+serve-fuzz-1 733e2414edcfec72 true
+serve-fuzz-2 da45e74db255e80a true
+serve-fuzz-3 64963ddcc1a13a23 true
+serve-fuzz-4 a8f5fde245bed13c true
+serve-fuzz-5 51c236bad7a7566c true
+serve-fuzz-6 8ed936bf55b0a9d0 true
+serve-fuzz-7 056d6e1cbfae09e7 true
+serve-fuzz-8 412ee17ace98996e true
+serve-fuzz-9 f4fda96a6b3198b7 true
+serve-fuzz-10 40ad7091de434340 true
+serve-fuzz-11 82f57d09749a6487 true
+serve-fuzz-12 cb3207d5932c2e2f true
+serve-fuzz-13 25cdbb94ff9aa65c true
+serve-fuzz-14 ce9dd27b58f47e9d true
+serve-fuzz-15 1aea19b8191665f0 true
+serve-fuzz-16 21817bbbf911c1d3 true
+serve-fuzz-17 037a801c530883c2 true
+serve-fuzz-18 2fd93e3d44091ade true
+serve-fuzz-19 bc7dd23455937f4e true
+serve-fuzz-20 5827bd93261a581f true
+serve-fuzz-21 b235605f6113e9d3 true
+serve-fuzz-22 a539573771f0aa89 true
+serve-fuzz-23 825a3d31a16af6a5 true
+";
+
+const GOLDEN_FUZZ_LINES: &str = "\
+{\"id\":\"fuzz-0\",\"status\":\"ok\",\"packets\":2,\"cycles\":6,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-1\",\"status\":\"ok\",\"packets\":25,\"cycles\":43,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-2\",\"status\":\"ok\",\"packets\":15,\"cycles\":28,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-3\",\"status\":\"ok\",\"family\":\"list\",\"packets\":813,\"cycles\":1275,\"check_ok\":true,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-4\",\"status\":\"ok\",\"packets\":6,\"cycles\":10,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-5\",\"status\":\"ok\",\"packets\":4,\"cycles\":13,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-6\",\"status\":\"ok\",\"packets\":9,\"cycles\":16,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-7\",\"status\":\"ok\",\"family\":\"bst\",\"packets\":1246,\"cycles\":2076,\"check_ok\":true,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-8\",\"status\":\"ok\",\"packets\":33,\"cycles\":48,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-9\",\"status\":\"ok\",\"packets\":12,\"cycles\":20,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-10\",\"status\":\"ok\",\"packets\":35,\"cycles\":78,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-11\",\"status\":\"ok\",\"family\":\"alloc\",\"packets\":580,\"cycles\":875,\"check_ok\":true,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-12\",\"status\":\"ok\",\"packets\":14,\"cycles\":19,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-13\",\"status\":\"ok\",\"packets\":3,\"cycles\":10,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-14\",\"status\":\"ok\",\"packets\":3,\"cycles\":8,\"diverged\":false,\"divergence\":\"\"}
+{\"id\":\"fuzz-15\",\"status\":\"ok\",\"family\":\"vm-dense\",\"packets\":754,\"cycles\":1187,\"check_ok\":true,\"diverged\":false,\"divergence\":\"\"}
+";
