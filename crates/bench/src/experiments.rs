@@ -903,8 +903,9 @@ fn farm_batch() -> Vec<FarmScenario> {
 /// Execute one scenario; everything reported is architectural, so the
 /// result is a pure function of `(FARM_MASTER_SEED, shard)`.
 fn run_farm_scenario(shard: usize, sc: FarmScenario) -> crate::farm::ShardResult {
-    use crate::diff::{diff_run, fuzz_program, FUZZ_BUDGET};
+    use crate::diff::{fuzz_program, FUZZ_BUDGET};
     use crate::farm::{run_soak, shard_seed, ShardResult};
+    use majc_core::diff::diff_run;
     use majc_mem::fnv1a;
     let seed = shard_seed(FARM_MASTER_SEED, shard as u64);
     match sc {
@@ -917,7 +918,7 @@ fn run_farm_scenario(shard: usize, sc: FarmScenario) -> crate::farm::ShardResult
             let mut divergence = None;
             for k in 0..count {
                 let case_seed = shard_seed(seed, k as u64);
-                let out = diff_run(&fuzz_program(case_seed), FUZZ_BUDGET);
+                let (out, _) = diff_run(fuzz_program(case_seed), &FlatMem::new(), FUZZ_BUDGET);
                 stats.cycles += out.cycles;
                 stats.packets += out.packets;
                 digest = fnv1a(format!("{digest:016x}:{out:?}").as_bytes());
@@ -1560,8 +1561,9 @@ fn xlate_json(
 /// builds a regression gate fails the run if the translated engine's
 /// median over alternating passes is not faster than the interpreter's.
 pub fn xlate(jobs: Option<usize>) -> Table {
-    use crate::diff::{diff_run3, fuzz_program, FUZZ_BUDGET};
+    use crate::diff::{fuzz_program, FUZZ_BUDGET};
     use crate::farm::{shard_seed, Farm};
+    use majc_core::diff::diff_run;
     use majc_core::{FuncSim, XlateCache, XlateSim, XLATE_CACHE_CAP};
     use std::sync::Arc;
 
@@ -1584,7 +1586,8 @@ pub fn xlate(jobs: Option<usize>) -> Table {
         let divergences: Vec<String> = farm
             .run((0..FUZZ_CASES).collect::<Vec<_>>(), |_, i| {
                 let seed = shard_seed(MASTER_SEED, i as u64);
-                diff_run3(&fuzz_program(seed), FUZZ_BUDGET)
+                diff_run(fuzz_program(seed), &FlatMem::new(), FUZZ_BUDGET)
+                    .0
                     .divergence
                     .map(|d| format!("seed {seed:#018x}: {d}"))
             })
@@ -1985,19 +1988,17 @@ impl PredictProfile {
 /// MAJC-5200 memory system, and the fault soak. Any failed leg panics —
 /// E16 is a gate, not a survey.
 fn corpus_rec(c: &majc_kernels::suite::SuiteCase) -> CorpusRec {
-    use crate::diff::diff_run3_with_mem;
     use crate::farm::run_soak;
-    use majc_core::{CycleSim, FuncSim, LocalMemSys, TimingConfig, XlateSim};
+    use majc_core::diff::diff_run;
+    use majc_core::{CycleSim, LocalMemSys, TimingConfig, XlateSim};
     use std::sync::Arc;
 
     let check = c.check.expect("corpus cases carry a self-check");
 
-    let out = diff_run3_with_mem(&c.prog, &c.mem, E16_BUDGET);
+    let (out, mut interp) = diff_run(Arc::clone(&c.prog), &c.mem, E16_BUDGET);
     assert!(out.divergence.is_none(), "{}: engines diverge: {:?}", c.name, out.divergence);
-
-    let mut fs = FuncSim::new(Arc::clone(&c.prog), c.mem.clone());
-    fs.run_to_halt(E16_BUDGET).unwrap_or_else(|e| panic!("{}: interp: {e}", c.name));
-    let digest = majc_kernels::suite::result_digest(&mut fs.mem, check);
+    assert!(interp.halted(), "{}: interp did not halt within {E16_BUDGET} packets", c.name);
+    let digest = majc_kernels::suite::result_digest(&mut interp.mem, check);
     assert_eq!(digest, check.expect, "{}: self-check digest mismatch (got {digest:#018x})", c.name);
 
     let a = majc_lint::analyze(&c.prog, &majc_lint::LintOptions::default());

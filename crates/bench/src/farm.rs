@@ -151,11 +151,11 @@ impl Farm {
         }
 
         // The result channel is *bounded* (two slots per worker): a worker
-        // that races ahead of the collector blocks in `send` instead of
-        // buffering unboundedly, so batch memory stays O(workers), not
-        // O(items). The collector therefore runs inside the scope, while
-        // workers are still alive — collecting after the scope would
-        // deadlock against a full buffer.
+        // that races ahead of the collector blocks in `send`, so at most
+        // 2 × workers results are in flight. `slots` still holds every
+        // item's result, so batch memory is O(items). The collector runs
+        // inside the scope, while workers are still alive — collecting
+        // after the scope would deadlock against a full buffer.
         let (tx, rx) = mpsc::sync_channel::<(usize, R)>(workers * 2);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         std::thread::scope(|s| {

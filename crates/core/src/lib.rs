@@ -18,6 +18,7 @@
 
 pub mod config;
 pub mod cycle;
+pub mod diff;
 pub mod engine;
 pub mod events;
 pub mod exec;

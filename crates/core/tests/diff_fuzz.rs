@@ -15,10 +15,9 @@
 //! CI runs both (`cargo test` and the release three-way smoke step);
 //! `reproduce farm` sweeps a larger slice of the same stream.
 
-use majc_bench::diff::{
-    diff_run3, diff_run3_with_mem, fuzz_program, shrink_with, write_repro, FUZZ_BUDGET,
-};
+use majc_bench::diff::{fuzz_program, shrink, shrink_with, write_repro, FUZZ_BUDGET};
 use majc_bench::farm::{shard_seed, Farm};
+use majc_core::diff::diff_run;
 use majc_core::XlateSim;
 use majc_lint::{analyze, validate, LintOptions};
 use majc_mem::FlatMem;
@@ -45,18 +44,11 @@ fn lint_fact_violation(prog: &majc_isa::Program) -> Option<String> {
 }
 
 /// A seeded generated-corpus case: program image plus its data sections.
-fn corpus_case(i: usize) -> (majc_isa::Program, FlatMem) {
+fn corpus_case(i: usize) -> majc_kernels::suite::SuiteCase {
     let families = majc_gen::Family::ALL;
     let family = families[i % families.len()];
     let seed = shard_seed(MASTER_SEED ^ 0xC0_0B50, i as u64);
-    let p = majc_gen::generate(family, seed);
-    let prog = majc_asm::assemble(&p.asm)
-        .unwrap_or_else(|e| panic!("{}: corpus program must assemble: {e}", p.name));
-    let mut mem = FlatMem::new();
-    for (base, bytes) in &p.sections {
-        mem.write(*base, bytes);
-    }
-    (prog, mem)
+    majc_kernels::suite::gen_case(&majc_gen::generate(family, seed))
 }
 
 /// CI smoke: seeded programs through the three-way diff, zero unreduced
@@ -74,17 +66,19 @@ fn a_thousand_seeded_programs_agree_across_simulators() {
         .run((0..CASES).collect::<Vec<_>>(), |_, i| {
             let seed = shard_seed(MASTER_SEED, i as u64);
             if i % 8 == 5 {
-                let (prog, mem) = corpus_case(i);
-                return diff_run3_with_mem(&prog, &mem, CORPUS_BUDGET)
+                let c = corpus_case(i);
+                return diff_run(c.prog.clone(), &c.mem, CORPUS_BUDGET)
+                    .0
                     .divergence
                     .or_else(|| {
-                        lint_fact_violation_in(&prog, &mem, CORPUS_BUDGET)
+                        lint_fact_violation_in(&c.prog, &c.mem, CORPUS_BUDGET)
                             .map(|v| format!("lint fact: {v}"))
                     })
                     .map(|d| (seed, format!("corpus case {i}: {d}")));
             }
             let prog = fuzz_program(seed);
-            diff_run3(&prog, FUZZ_BUDGET)
+            diff_run(prog.clone(), &FlatMem::new(), FUZZ_BUDGET)
+                .0
                 .divergence
                 .or_else(|| lint_fact_violation(&prog).map(|v| format!("lint fact: {v}")))
                 .map(|d| (seed, d))
@@ -105,8 +99,7 @@ fn a_thousand_seeded_programs_agree_across_simulators() {
             lines.push(format!("seed {seed:#018x}: {divergence}"));
             continue;
         }
-        let small =
-            shrink_with(&fuzz_program(*seed), |p| diff_run3(p, FUZZ_BUDGET).divergence.is_some());
+        let small = shrink(&fuzz_program(*seed), FUZZ_BUDGET);
         let path = write_repro(&dir, *seed, &small, divergence).expect("write repro file");
         lines.push(format!(
             "seed {seed:#018x}: {divergence} (minimized to {} packet(s): {})",
@@ -123,7 +116,9 @@ fn a_thousand_seeded_programs_agree_across_simulators() {
 #[test]
 fn fuzz_results_are_jobs_invariant() {
     let seeds: Vec<u64> = (0..64).map(|i| shard_seed(MASTER_SEED, i)).collect();
-    Farm::new(2).run_verified(seeds, |_, seed| diff_run3(&fuzz_program(seed), FUZZ_BUDGET));
+    Farm::new(2).run_verified(seeds, |_, seed| {
+        diff_run(fuzz_program(seed), &FlatMem::new(), FUZZ_BUDGET).0
+    });
 }
 
 /// The packet-bisection reducer stays 1-minimal on corpus programs, and

@@ -258,6 +258,30 @@ pub fn straightline_program(rng: &mut SplitMix64, n: usize, cfg: &GenCfg) -> Pro
     Program::new(0, pkts)
 }
 
+/// One differential-fuzz program of at most `max_packets` random packets
+/// plus a final `halt`. The first draw picks the flavour: straight-line
+/// compute, compute + memory, or compute + memory + control; the next
+/// ones vary the register-pool shape. Each fuzzer seeds `rng` its own
+/// way, so every consumer draws from its own reproducible stream.
+pub fn fuzz_program(rng: &mut SplitMix64, max_packets: usize) -> Program {
+    let flavor = rng.index(4);
+    let cfg = GenCfg {
+        mem: flavor >= 1,
+        control: flavor >= 3,
+        locals: rng.flip(),
+        globals: 8 + rng.index(88) as u8,
+    };
+    let n = 1 + rng.index(max_packets);
+    if !cfg.mem && !cfg.control {
+        return straightline_program(rng, n, &cfg);
+    }
+    let pkts: Vec<Packet> = (0..n)
+        .map(|_| packet(rng, &cfg))
+        .chain(std::iter::once(Packet::solo(Instr::Halt).expect("halt packet")))
+        .collect();
+    Program::new(0, pkts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +310,21 @@ mod tests {
                     assert!(!ins.is_control(), "{ins:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fuzz_programs_are_reproducible_bounded_and_end_in_halt() {
+        for seed in 0..50u64 {
+            let a = fuzz_program(&mut SplitMix64::new(seed), 12);
+            let b = fuzz_program(&mut SplitMix64::new(seed), 12);
+            assert_eq!(a.packets(), b.packets(), "seed {seed}");
+            assert!(a.len() <= 13, "seed {seed}: {} packets", a.len());
+            let last = a.packets().last().expect("non-empty");
+            assert!(
+                last.slots().any(|(_, i)| matches!(i, Instr::Halt)),
+                "seed {seed} does not end in halt"
+            );
         }
     }
 }

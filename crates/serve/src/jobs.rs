@@ -13,12 +13,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use majc_core::diff::diff_run;
 use majc_core::{
-    global_xlate_cache, CycleSim, FuncSim, LocalMemSys, SimError, TimingConfig, Translation,
-    XlateCache, XlateSim,
+    global_xlate_cache, CycleSim, LocalMemSys, SimError, TimingConfig, Translation, XlateCache,
+    XlateSim,
 };
-use majc_isa::gen::{self, GenCfg};
-use majc_isa::{Program, SplitMix64};
+use majc_isa::{gen, Program, SplitMix64};
 use majc_mem::{fnv1a, fnv1a_extend, FaultPlan, FlatMem};
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
@@ -311,41 +311,16 @@ pub fn arch_digest(cpu: &majc_core::CpuSnap, mem: &FlatMem) -> String {
     format!("{:016x}", fnv1a_extend(outer, &inner.to_le_bytes()))
 }
 
-/// How one fuzz-side run ended, for outcome comparison.
-#[derive(Debug, PartialEq, Eq)]
-enum End {
-    Halted,
-    Budget,
-    Trap(String),
-}
-
-/// A seeded legal program for differential fuzzing. Same spirit as the
-/// bench fuzzer (which serve cannot depend on — bench hosts the
-/// experiments and depends on serve): flavor picks straight-line,
-/// +memory, or +control, register pool shape varies per case.
+/// Serve's fuzz stream: [`gen::fuzz_program`] of at most 40 packets,
+/// salted apart from the bench fuzzer's stream.
 pub fn fuzz_program(seed: u64) -> Program {
-    let mut rng = SplitMix64::new(seed ^ 0xA076_1D64_78BD_642F);
-    let flavor = rng.index(4);
-    let cfg = GenCfg {
-        mem: flavor >= 1,
-        control: flavor >= 3,
-        locals: rng.flip(),
-        globals: 8 + rng.index(88) as u8,
-    };
-    let n = 1 + rng.index(40);
-    if !cfg.mem && !cfg.control {
-        return gen::straightline_program(&mut rng, n, &cfg);
-    }
-    let pkts: Vec<majc_isa::Packet> = (0..n)
-        .map(|_| gen::packet(&mut rng, &cfg))
-        .chain(std::iter::once(majc_isa::Packet::solo(majc_isa::Instr::Halt).expect("halt")))
-        .collect();
-    Program::new(0, pkts)
+    gen::fuzz_program(&mut SplitMix64::new(seed ^ 0xA076_1D64_78BD_642F), 40)
 }
 
-/// One differential fuzz case: run the seeded program on both engines
-/// (ideal memory, so timing cannot mask architectural bugs) and report
-/// the first divergence. A divergence is a *finding*, not a job failure.
+/// One differential fuzz case: run the seeded program through the
+/// three-way oracle (interpreter, translated engine, cycle model on ideal
+/// memory, so timing cannot mask architectural bugs) and report the first
+/// divergence. A divergence is a *finding*, not a job failure.
 ///
 /// Every fourth seed draws from the generated irregular-program corpus
 /// instead of the random packet stream: pointer chases, VM dispatch, and
@@ -353,101 +328,28 @@ pub fn fuzz_program(seed: u64) -> Program {
 /// packets never produce, and the corpus adds an oracle the stream lacks
 /// — each program's architectural self-check digest.
 fn run_fuzz(seed: u64, budget: u64) -> Status {
-    if seed % 4 == 3 {
-        return run_fuzz_corpus(seed, budget);
-    }
-    let image = Arc::new(fuzz_program(seed));
-
-    let mut func = FuncSim::new(Arc::clone(&image), FlatMem::new());
-    let f_end = match func.run(budget) {
-        Ok(_) if func.halted() => End::Halted,
-        Ok(_) => End::Budget,
-        Err(t) => End::Trap(format!("{t:?}")),
+    let mut fields = Vec::new();
+    let (out, check_ok) = if seed % 4 == 3 {
+        let families = majc_gen::Family::ALL;
+        let family = families[((seed >> 2) % families.len() as u64) as usize];
+        let p = majc_gen::generate(family, seed);
+        let c = majc_kernels::suite::gen_case(&p);
+        let (out, mut interp) = diff_run(c.prog, &c.mem, budget);
+        let check_ok = interp.halted()
+            && majc_kernels::suite::result_digest(&mut interp.mem, p.check) == p.check.expect;
+        fields.push(("family".into(), Val::Str(family.name().into())));
+        (out, Some(check_ok))
+    } else {
+        (diff_run(fuzz_program(seed), &FlatMem::new(), budget).0, None)
     };
-
-    let mut cyc = CycleSim::new(image, majc_core::PerfectPort::new(), TimingConfig::default());
-    let c_end = match cyc.run(budget) {
-        Ok(_) if cyc.halted() => End::Halted,
-        Ok(_) => End::Budget,
-        Err(SimError::Trap(t)) => End::Trap(format!("{t:?}")),
-        Err(e) => End::Trap(format!("{e:?}")),
-    };
-
-    let divergence = diff(&func, &cyc, &f_end, &c_end);
-    Status::Ok(vec![
-        ("packets".into(), Val::U64(func.stats.packets)),
-        ("cycles".into(), Val::U64(cyc.stats.cycles)),
-        ("diverged".into(), Val::Bool(divergence.is_some())),
-        ("divergence".into(), Val::Str(divergence.unwrap_or_default())),
-    ])
-}
-
-/// Corpus-mode fuzz case: generate a seeded irregular program, run it on
-/// both engines with its data sections loaded, diff the final states, and
-/// verify the generator's precomputed self-check digest.
-fn run_fuzz_corpus(seed: u64, budget: u64) -> Status {
-    let families = majc_gen::Family::ALL;
-    let family = families[((seed >> 2) % families.len() as u64) as usize];
-    let p = majc_gen::generate(family, seed);
-    let image = match majc_asm::assemble(&p.asm) {
-        Ok(prog) => Arc::new(prog),
-        Err(e) => return Status::Failed { kind: "asm".into(), detail: format!("{}: {e}", p.name) },
-    };
-    let mut mem = FlatMem::new();
-    for (base, bytes) in &p.sections {
-        mem.write(*base, bytes);
+    fields.push(("packets".into(), Val::U64(out.packets)));
+    fields.push(("cycles".into(), Val::U64(out.cycles)));
+    if let Some(ok) = check_ok {
+        fields.push(("check_ok".into(), Val::Bool(ok)));
     }
-
-    let mut func = FuncSim::new(Arc::clone(&image), mem.clone());
-    let f_end = match func.run(budget) {
-        Ok(_) if func.halted() => End::Halted,
-        Ok(_) => End::Budget,
-        Err(t) => End::Trap(format!("{t:?}")),
-    };
-
-    let port = majc_core::PerfectPort::new().with_mem(mem);
-    let mut cyc = CycleSim::new(image, port, TimingConfig::default());
-    let c_end = match cyc.run(budget) {
-        Ok(_) if cyc.halted() => End::Halted,
-        Ok(_) => End::Budget,
-        Err(SimError::Trap(t)) => End::Trap(format!("{t:?}")),
-        Err(e) => End::Trap(format!("{e:?}")),
-    };
-
-    let divergence = diff(&func, &cyc, &f_end, &c_end);
-    let mut window = vec![0u8; p.check.len as usize];
-    func.mem.read(p.check.addr, &mut window);
-    let check_ok = f_end == End::Halted && fnv1a(&window) == p.check.expect;
-    Status::Ok(vec![
-        ("family".into(), Val::Str(family.name().into())),
-        ("packets".into(), Val::U64(func.stats.packets)),
-        ("cycles".into(), Val::U64(cyc.stats.cycles)),
-        ("check_ok".into(), Val::Bool(check_ok)),
-        ("diverged".into(), Val::Bool(divergence.is_some())),
-        ("divergence".into(), Val::Str(divergence.unwrap_or_default())),
-    ])
-}
-
-fn diff(
-    func: &FuncSim,
-    cyc: &CycleSim<majc_core::PerfectPort>,
-    f_end: &End,
-    c_end: &End,
-) -> Option<String> {
-    if f_end != c_end {
-        return Some(format!("outcome: func={f_end:?} cycle={c_end:?}"));
-    }
-    if !matches!(f_end, End::Trap(_)) && func.stats.packets != cyc.stats.packets {
-        return Some(format!("packets: func={} cycle={}", func.stats.packets, cyc.stats.packets));
-    }
-    let fr = func.regs.raw();
-    let cr = cyc.regs(0).raw();
-    if let Some(i) = (0..fr.len()).find(|&i| fr[i] != cr[i]) {
-        return Some(format!("reg[{i}]: func={:#010x} cycle={:#010x}", fr[i], cr[i]));
-    }
-    func.mem
-        .first_diff_detail(&cyc.port.mem)
-        .map(|d| format!("mem[{:#010x}]: func={:#04x} cycle={:#04x}", d.addr, d.lhs, d.rhs))
+    fields.push(("diverged".into(), Val::Bool(out.divergence.is_some())));
+    fields.push(("divergence".into(), Val::Str(out.divergence.unwrap_or_default())));
+    Status::Ok(fields)
 }
 
 #[cfg(test)]

@@ -71,7 +71,8 @@ pub enum JobSpec {
         strict: bool,
     },
     Simulate(SimSpec),
-    /// Differential fuzz case: seeded program, func vs cycle compare.
+    /// Differential fuzz case: seeded program, three-way compare
+    /// (interpreter, translated engine, cycle model).
     Fuzz {
         seed: u64,
         budget: u64,

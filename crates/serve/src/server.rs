@@ -514,16 +514,22 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else { return };
     let (tx, rx) = mpsc::channel::<Response>();
-    let writer = std::thread::spawn(move || {
-        let mut out = BufWriter::new(write_half);
-        for resp in rx {
-            if writeln!(out, "{}", resp.to_line()).is_err() || out.flush().is_err() {
-                // Client went away; dropping the receiver makes further
-                // job sends fail fast, where they are counted abandoned.
-                break;
+    let writer = {
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || {
+            let mut out = BufWriter::new(write_half);
+            let mut gone = false;
+            for resp in rx {
+                // Once a write fails the client is gone: the failed reply
+                // and every later one, queued or still to come, is dropped
+                // and counted here, until the last sender hangs up.
+                gone = gone || writeln!(out, "{}", resp.to_line()).is_err() || out.flush().is_err();
+                if gone {
+                    shared.counters.abandoned.fetch_add(1, Ordering::Relaxed);
+                }
             }
-        }
-    });
+        })
+    };
 
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();

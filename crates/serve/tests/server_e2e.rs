@@ -487,3 +487,33 @@ fn an_overlong_line_is_answered_and_the_connection_keeps_serving() {
     assert!(matches!(&r.status, Status::Failed { kind, .. } if kind == "line_too_long"), "{r:?}");
     handle.shutdown();
 }
+
+/// A client that closes with jobs in flight: every reply the writer
+/// cannot deliver is counted `abandoned`, including the one whose write
+/// failed and those queued behind it.
+#[test]
+fn replies_to_a_closed_connection_are_all_counted_abandoned() {
+    let handle = start(1, 4);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let mut probe = Client::connect(handle.addr()).unwrap();
+
+    c.send(&slow_job("inflight", OCCUPY_OUTER)).unwrap();
+    wait_for_queue(&mut probe, 1, 0);
+    c.send(&slow_job("queued-1", 1)).unwrap();
+    c.send(&slow_job("queued-2", 1)).unwrap();
+    wait_for_queue(&mut probe, 3, 2);
+    drop(c);
+
+    // The first reply after the close may still be written; the socket
+    // fails on the next one, and that reply and the one after it are
+    // dropped. The writer counts them as it drains its channel, so poll.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let settled = |n: server::CounterSnapshot| n.ok == 3 && n.abandoned >= 2;
+    while !settled(handle.counters()) {
+        assert!(Instant::now() < deadline, "replies not counted: {:?}", handle.counters());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.drain();
+    assert!(settled(handle.counters()), "{:?}", handle.counters());
+    handle.join();
+}

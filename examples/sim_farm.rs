@@ -6,9 +6,11 @@
 //! cargo run --release --example sim_farm
 //! ```
 
-use majc::bench::diff::{diff_run, fuzz_program, FUZZ_BUDGET};
+use majc::bench::diff::{fuzz_program, FUZZ_BUDGET};
 use majc::bench::farm::{merged_json, run_soak, shard_seed, Farm, ShardResult};
+use majc::core::diff::diff_run;
 use majc::kernels::suite;
+use majc::mem::FlatMem;
 
 const MASTER_SEED: u64 = 0xFA23_5EED;
 
@@ -53,15 +55,15 @@ fn main() {
     );
 
     // 3. Differential fuzzing through the same pool: seeded random
-    //    programs, functional vs cycle-accurate.
+    //    programs, interpreter vs translated engine vs cycle-accurate.
     const CASES: usize = 256;
     let outcomes = Farm::new(jobs).run((0..CASES).collect::<Vec<_>>(), |_, i| {
-        diff_run(&fuzz_program(shard_seed(MASTER_SEED, i as u64)), FUZZ_BUDGET)
+        diff_run(fuzz_program(shard_seed(MASTER_SEED, i as u64)), &FlatMem::new(), FUZZ_BUDGET).0
     });
     let divergences = outcomes.iter().filter(|o| o.divergence.is_some()).count();
     let cycles: u64 = outcomes.iter().map(|o| o.cycles).sum();
     println!(
         "fuzzed {CASES} seeded programs ({cycles} simulated cycles): {divergences} divergences"
     );
-    assert_eq!(divergences, 0, "functional and cycle simulators must agree");
+    assert_eq!(divergences, 0, "the three engines must agree");
 }
