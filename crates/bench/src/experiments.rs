@@ -872,7 +872,7 @@ fn cas_incrementer(base: u32) -> majc_isa::Program {
 
 // ------------------------------- E11 -------------------------------
 
-/// Master seed for the `reproduce farm` batch; every shard's stream is
+/// Master seed for the `reproduce farm` batch; every shard's seed is
 /// derived from it with [`crate::farm::shard_seed`].
 pub const FARM_MASTER_SEED: u64 = 0xFA23_5EED;
 
@@ -883,7 +883,7 @@ enum FarmScenario {
     /// Deterministic fault-injection soak of one suite kernel.
     Soak(majc_kernels::suite::SuiteCase),
     /// A shard of the differential fuzz stream: `count` seeded programs
-    /// through the functional-vs-cycle comparison.
+    /// through the three-way engine check.
     Fuzz { count: usize },
     /// The dual-CPU CAS-contention scenario on the SoC.
     CasContention,
@@ -968,13 +968,13 @@ fn run_farm_scenario(shard: usize, sc: FarmScenario) -> crate::farm::ShardResult
 /// and emits the per-job scaling table. Wall-clock appears only in the
 /// printed table, never in the merged report.
 pub fn farm(jobs: Option<usize>) -> Table {
-    use crate::farm::{merged_json, merged_json_full, Farm};
+    use crate::farm::{merged_json, Farm};
 
     let run_batch = |n: usize| {
         let t0 = std::time::Instant::now();
-        let (results, pool) = Farm::new(n).run_metered(farm_batch(), run_farm_scenario);
+        let results = Farm::new(n).run(farm_batch(), run_farm_scenario);
         let elapsed = t0.elapsed().as_secs_f64();
-        (merged_json(FARM_MASTER_SEED, &results), (results, elapsed, pool))
+        (merged_json(FARM_MASTER_SEED, &results), (results, elapsed))
     };
     let throughput = |results: &[crate::farm::ShardResult], elapsed: f64| {
         let cycles: u64 = results.iter().map(|r| r.cycles).sum();
@@ -987,7 +987,7 @@ pub fn farm(jobs: Option<usize>) -> Table {
 
     let mut t = Table::new("farm", "E11: deterministic parallel simulation farm");
     let runs = sweep(jobs, run_batch);
-    let (_, (report, (results, base_elapsed, _))) = &runs[0];
+    let (_, (report, (results, base_elapsed))) = &runs[0];
     if let Some(n) = jobs {
         let divergences = results.iter().filter(|r| r.divergence.is_some()).count();
         t.push(Row::new("scenarios", "-", k(results.len() as u64), format!("--jobs {n}")));
@@ -1005,7 +1005,7 @@ pub fn farm(jobs: Option<usize>) -> Table {
             throughput(results, *base_elapsed),
         ));
     } else {
-        for (n, (_, (results, elapsed, _))) in &runs {
+        for (n, (_, (results, elapsed))) in &runs {
             t.push(Row::new(
                 format!("--jobs {n}"),
                 "-",
@@ -1024,18 +1024,6 @@ pub fn farm(jobs: Option<usize>) -> Table {
         "-",
         save_note("farm_merged.json", report),
         "no wall-clock fields",
-    ));
-    // The operator-facing sibling of the merged report, from the last
-    // run: same shards, plus the pool's scheduling tallies in an
-    // explicitly nondeterministic trailer. Never byte-compared — that is
-    // the point.
-    let (_, (_, (results, _, pool))) = &runs[runs.len() - 1];
-    let full = merged_json_full(FARM_MASTER_SEED, results, Some(pool));
-    t.push(Row::new(
-        "pool report",
-        "-",
-        format!("{} ({} steals)", save_note("farm_pool.json", &full), pool.total_steals()),
-        "scheduling tallies, nondeterministic",
     ));
     t
 }
@@ -1737,20 +1725,9 @@ fn obs_shard(
     cache: &std::sync::Arc<majc_core::XlateCache>,
 ) -> majc_obs::Snapshot {
     use majc_obs::{Class, MetricsRegistry};
-    use majc_serve::{Engine, ExecCtx, JobSpec, SimSpec, Status, Val};
+    use majc_serve::{Engine, ExecCtx, JobSpec, SimSpec, Val};
 
     const JOBS_PER_SHARD: usize = 10;
-    let payload_u64 = |st: &Status, field: &str| -> Option<u64> {
-        match st {
-            Status::Ok(fields) => {
-                fields.iter().find(|(k, _)| k == field).and_then(|(_, v)| match v {
-                    Val::U64(n) => Some(*n),
-                    _ => None,
-                })
-            }
-            other => panic!("E15 job must succeed, got {other:?}"),
-        }
-    };
 
     let ctx = ExecCtx::with_xlate_cache(std::sync::Arc::clone(cache));
     let reg = MetricsRegistry::new();
@@ -1777,8 +1754,9 @@ fn obs_shard(
             resume: None,
         });
         let status = ctx.execute(&spec, None);
-        let packets = payload_u64(&status, "packets")
-            .unwrap_or_else(|| panic!("{kernel}: simulate payload lacks packets"));
+        let packets = status.field("packets").and_then(Val::as_u64).unwrap_or_else(|| {
+            panic!("{kernel}: E15 job must succeed with packets, got {status:?}")
+        });
         jobs_total.inc();
         reg.counter(&format!("jobs.kernel.{kernel}"), Class::Det).inc();
         reg.counter(
@@ -1788,7 +1766,7 @@ fn obs_shard(
         .inc();
         packets_total.add(packets);
         packets_per_job.observe(packets);
-        if let Some(cycles) = payload_u64(&status, "cycles") {
+        if let Some(cycles) = status.field("cycles").and_then(Val::as_u64) {
             cycles_total.add(cycles);
             cycles_per_job.observe(cycles);
         }

@@ -12,5 +12,5 @@ pub mod report;
 pub use experiments::{
     ablations, all, fig1, fig2, graphics, obs, peak_rates, serve, table1, table2, table3, xlate,
 };
-pub use farm::{merged_json_full, shard_seed, Farm, PoolMetrics, Shard, ShardResult};
+pub use farm::{shard_seed, Farm, ShardResult};
 pub use report::{Row, Table};

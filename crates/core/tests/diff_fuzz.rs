@@ -111,7 +111,7 @@ fn a_thousand_seeded_programs_agree_across_simulators() {
 }
 
 /// The fuzz outcomes themselves are jobs-invariant: running a slice of
-/// the stream serially and through the work-stealing pool produces
+/// the stream serially and through the farm's worker pool produces
 /// identical `DiffOutcome`s in identical order.
 #[test]
 fn fuzz_results_are_jobs_invariant() {

@@ -11,7 +11,7 @@
 //!   finalizer, also used on its own to derive decorrelated seeds.
 //! * [`XorShift64`] (Marsaglia's 13/7/17 xorshift): the kernel inputs,
 //!   graphics scenes and fault streams.
-//! * [`XorShift64Star`] (Vigna's xorshift64*): the farm's per-shard streams.
+//! * [`XorShift64Star`] (Vigna's xorshift64*): E15's per-shard job streams.
 
 /// The SplitMix64 golden-ratio increment.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -160,7 +160,7 @@ impl XorShift64Star {
     }
 
     /// Uniform in `0..n` (n > 0) by rejection-free modulo; fine for the
-    /// small ranges the farm needs. Unlike [`SplitMix64::below`], this is
+    /// small ranges E15 draws. Unlike [`SplitMix64::below`], this is
     /// not a multiply-shift reduction: the two yield different values.
     pub fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n.max(1)

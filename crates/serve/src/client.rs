@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::proto::{Request, Response, Status};
+use crate::proto::{Request, Response, Status, Val};
 
 pub struct Client {
     writer: TcpStream,
@@ -78,17 +78,13 @@ impl Client {
     pub fn stats_metrics_json(&mut self) -> std::io::Result<String> {
         let resp = self.request(&Request::Stats { id: "stats".into() })?;
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        match resp.status {
-            Status::Ok(fields) => fields
-                .iter()
-                .find(|(k, _)| k == "metrics")
-                .and_then(|(_, v)| match v {
-                    crate::proto::Val::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .ok_or_else(|| bad("stats response carries no metrics field")),
-            _ => Err(bad("stats request refused")),
+        if !matches!(resp.status, Status::Ok(_)) {
+            return Err(bad("stats request refused"));
         }
+        resp.field("metrics")
+            .and_then(Val::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| bad("stats response carries no metrics field"))
     }
 
     /// Submit with bounded busy-retry, honoring the server's declared

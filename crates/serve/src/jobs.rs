@@ -367,10 +367,8 @@ mod tests {
         let src = "setlo g1, 5\nhalt\n";
         let first = c.execute(&JobSpec::Assemble { source: src.into() }, None);
         let again = c.execute(&JobSpec::Assemble { source: src.into() }, None);
-        let Status::Ok(f1) = &first else { panic!("{first:?}") };
-        let Status::Ok(f2) = &again else { panic!("{again:?}") };
-        assert_eq!(f1.iter().find(|(k, _)| k == "cached").unwrap().1, Val::Bool(false));
-        assert_eq!(f2.iter().find(|(k, _)| k == "cached").unwrap().1, Val::Bool(true));
+        assert_eq!(first.field("cached").and_then(Val::as_bool), Some(false), "{first:?}");
+        assert_eq!(again.field("cached").and_then(Val::as_bool), Some(true), "{again:?}");
         assert_eq!(c.cache_hits.load(Ordering::Relaxed), 1);
     }
 
@@ -407,12 +405,9 @@ mod tests {
             checkpoint: false,
             resume: None,
         });
-        let hit_of = |status: &Status| match status {
-            Status::Ok(fields) => fields.iter().find(|(k, _)| k == "xlate_hit").unwrap().1.clone(),
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(hit_of(&c.execute(&spec, None)), Val::Bool(false), "cold cache misses");
-        assert_eq!(hit_of(&c.execute(&spec, None)), Val::Bool(true), "second request hits");
+        let hit_of = |status: Status| status.field("xlate_hit").and_then(Val::as_bool);
+        assert_eq!(hit_of(c.execute(&spec, None)), Some(false), "cold cache misses");
+        assert_eq!(hit_of(c.execute(&spec, None)), Some(true), "second request hits");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1), "private cache counts only this ctx");
     }
@@ -421,9 +416,8 @@ mod tests {
     fn fuzz_cases_execute_and_agree() {
         for seed in 0..8 {
             let status = run_fuzz(seed, 20_000);
-            let Status::Ok(fields) = status else { panic!("fuzz {seed}: {status:?}") };
-            let diverged = fields.iter().find(|(k, _)| k == "diverged").unwrap();
-            assert_eq!(diverged.1, Val::Bool(false), "seed {seed} diverged");
+            let diverged = status.field("diverged").and_then(Val::as_bool);
+            assert_eq!(diverged, Some(false), "fuzz {seed}: {status:?}");
         }
     }
 
@@ -433,11 +427,10 @@ mod tests {
         // must agree across engines AND reproduce its self-check digest.
         for seed in [3u64, 7, 11, 19] {
             let status = run_fuzz(seed, 4_000_000);
-            let Status::Ok(fields) = status else { panic!("corpus fuzz {seed}: {status:?}") };
-            let get = |k: &str| fields.iter().find(|(key, _)| key == k).unwrap().1.clone();
-            assert!(matches!(get("family"), Val::Str(_)));
-            assert_eq!(get("diverged"), Val::Bool(false), "seed {seed} diverged");
-            assert_eq!(get("check_ok"), Val::Bool(true), "seed {seed} failed its self-check");
+            assert!(status.field("family").and_then(Val::as_str).is_some(), "{seed}: {status:?}");
+            let get = |k: &str| status.field(k).and_then(Val::as_bool);
+            assert_eq!(get("diverged"), Some(false), "seed {seed} diverged");
+            assert_eq!(get("check_ok"), Some(true), "seed {seed} failed its self-check");
         }
     }
 

@@ -104,16 +104,15 @@ impl LoadReport {
 
     /// The full report (includes non-deterministic latency/throughput).
     pub fn to_json(&self) -> String {
+        let server: Vec<String> =
+            self.server.fields().iter().map(|(name, n)| format!("\"{name}\":{n}")).collect();
         format!(
             "{{\"clients\":{},\"jobs_per_client\":{},\"seed\":{},\
              \"ok\":{},\"failed\":{},\"rejected\":{},\"gave_up\":{},\"busy_rounds\":{},\
              \"dropped_inflight\":{},\"garbled_sent\":{},\"garbled_acked\":{},\
              \"lost\":{},\"duplicated\":{},\"wrong_id\":{},\"exactly_once\":{},\
              \"p50_us\":{},\"p99_us\":{},\"max_us\":{},\"wall_ms\":{},\"jobs_per_sec\":{},\
-             \"server\":{{\"admitted\":{},\"ok\":{},\"failed\":{},\"rejected\":{},\"busy\":{},\
-             \"drain_rejected\":{},\"parse_errors\":{},\"panics\":{},\"respawns\":{},\
-             \"abandoned\":{},\"chaos_kills\":{},\"workers_spawned\":{},\
-             \"last_kill_seq\":{}}}}}",
+             \"server\":{{{}}}}}",
             self.clients,
             self.jobs_per_client,
             self.seed,
@@ -134,19 +133,7 @@ impl LoadReport {
             self.max_us,
             self.wall_ms,
             self.jobs_per_sec,
-            self.server.admitted,
-            self.server.ok,
-            self.server.failed,
-            self.server.rejected,
-            self.server.busy,
-            self.server.drain_rejected,
-            self.server.parse_errors,
-            self.server.panics,
-            self.server.respawns,
-            self.server.abandoned,
-            self.server.chaos_kills,
-            self.server.workers_spawned,
-            self.server.last_kill_seq,
+            server.join(","),
         )
     }
 
@@ -424,4 +411,58 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadCfg) -> LoadReport {
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn full_report_keeps_its_key_order() {
+        let report = LoadReport {
+            clients: 1,
+            jobs_per_client: 2,
+            seed: 3,
+            ok: 4,
+            failed: 5,
+            rejected: 6,
+            gave_up: 7,
+            busy_rounds: 8,
+            dropped_inflight: 9,
+            garbled_sent: 10,
+            garbled_acked: 11,
+            p50_us: 15,
+            p99_us: 16,
+            max_us: 17,
+            wall_ms: 18,
+            jobs_per_sec: 19,
+            server: CounterSnapshot {
+                admitted: 20,
+                ok: 21,
+                failed: 22,
+                rejected: 23,
+                busy: 24,
+                drain_rejected: 25,
+                parse_errors: 26,
+                panics: 27,
+                respawns: 28,
+                abandoned: 29,
+                chaos_kills: 30,
+                workers_spawned: 31,
+                last_kill_seq: 32,
+            },
+            ..LoadReport::default()
+        };
+        assert_eq!(
+            report.to_json(),
+            "{\"clients\":1,\"jobs_per_client\":2,\"seed\":3,\"ok\":4,\"failed\":5,\
+             \"rejected\":6,\"gave_up\":7,\"busy_rounds\":8,\"dropped_inflight\":9,\
+             \"garbled_sent\":10,\"garbled_acked\":11,\"lost\":0,\"duplicated\":0,\
+             \"wrong_id\":0,\"exactly_once\":true,\"p50_us\":15,\"p99_us\":16,\"max_us\":17,\
+             \"wall_ms\":18,\"jobs_per_sec\":19,\"server\":{\"admitted\":20,\"ok\":21,\
+             \"failed\":22,\"rejected\":23,\"busy\":24,\"drain_rejected\":25,\
+             \"parse_errors\":26,\"panics\":27,\"respawns\":28,\"abandoned\":29,\
+             \"chaos_kills\":30,\"workers_spawned\":31,\"last_kill_seq\":32}}"
+        );
+    }
 }

@@ -247,6 +247,13 @@ impl Val {
             _ => None,
         }
     }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Val::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
 }
 
 /// How a request ended.
@@ -262,6 +269,16 @@ pub enum Status {
     /// The job ran and failed: `kind` is machine-readable (`hang`,
     /// `trap`, `parse`, `bad_request`, `worker_killed`), `detail` human.
     Failed { kind: String, detail: String },
+}
+
+impl Status {
+    /// Payload field by name, if this is an `ok`.
+    pub fn field(&self, name: &str) -> Option<&Val> {
+        match self {
+            Status::Ok(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+            _ => None,
+        }
+    }
 }
 
 /// One response line.
@@ -290,10 +307,7 @@ impl Response {
 
     /// Payload field by name, if this is an `ok`.
     pub fn field(&self, name: &str) -> Option<&Val> {
-        match &self.status {
-            Status::Ok(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
+        self.status.field(name)
     }
 
     pub fn to_line(&self) -> String {

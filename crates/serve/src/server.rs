@@ -141,6 +141,26 @@ impl Counters {
 }
 
 impl CounterSnapshot {
+    /// Every counter as a `(name, value)` pair, in the order the `stats`
+    /// verb and the load report's `server` object print them.
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
+        [
+            ("admitted", self.admitted),
+            ("ok", self.ok),
+            ("failed", self.failed),
+            ("rejected", self.rejected),
+            ("busy", self.busy),
+            ("drain_rejected", self.drain_rejected),
+            ("parse_errors", self.parse_errors),
+            ("panics", self.panics),
+            ("respawns", self.respawns),
+            ("abandoned", self.abandoned),
+            ("chaos_kills", self.chaos_kills),
+            ("workers_spawned", self.workers_spawned),
+            ("last_kill_seq", self.last_kill_seq),
+        ]
+    }
+
     /// Every admitted job must end in exactly one of the terminal
     /// buckets — the server-side half of the exactly-once invariant.
     pub fn terminal(&self) -> u64 {
@@ -213,38 +233,26 @@ impl Shared {
     }
 
     fn stats_response(&self, id: &str) -> Response {
-        let c = self.counters.snapshot();
+        let counters = self.counters.snapshot().fields();
         let metrics = self.obs.snapshot();
-        Response::ok(
-            id,
-            vec![
-                ("workers".into(), Val::U64(self.cfg.workers as u64)),
-                ("queue_capacity".into(), Val::U64(self.queue.capacity() as u64)),
-                ("queue_depth".into(), Val::U64(self.queue.depth() as u64)),
-                ("admitted".into(), Val::U64(c.admitted)),
-                ("ok".into(), Val::U64(c.ok)),
-                ("failed".into(), Val::U64(c.failed)),
-                ("rejected".into(), Val::U64(c.rejected)),
-                ("busy".into(), Val::U64(c.busy)),
-                ("drain_rejected".into(), Val::U64(c.drain_rejected)),
-                ("parse_errors".into(), Val::U64(c.parse_errors)),
-                ("panics".into(), Val::U64(c.panics)),
-                ("respawns".into(), Val::U64(c.respawns)),
-                ("abandoned".into(), Val::U64(c.abandoned)),
-                ("chaos_kills".into(), Val::U64(c.chaos_kills)),
-                ("workers_spawned".into(), Val::U64(c.workers_spawned)),
-                ("last_kill_seq".into(), Val::U64(c.last_kill_seq)),
-                ("retry_after_ms".into(), Val::U64(self.derived_retry_after_ms())),
-                ("queue_highwater".into(), Val::U64(self.queue.highwater() as u64)),
-                ("spans_recorded".into(), Val::U64(self.obs.spans.len() as u64)),
-                ("spans_dropped".into(), Val::U64(self.obs.spans.dropped())),
-                ("cache_hits".into(), Val::U64(self.ctx.cache_hits.load(Ordering::Relaxed))),
-                ("checkpoints".into(), Val::U64(self.ctx.checkpoints.len() as u64)),
-                // The full registry snapshot, det/wall-sectioned, as an
-                // embedded JSON document.
-                ("metrics".into(), Val::Str(metrics.to_json())),
-            ],
-        )
+        let mut payload = vec![
+            ("workers".into(), Val::U64(self.cfg.workers as u64)),
+            ("queue_capacity".into(), Val::U64(self.queue.capacity() as u64)),
+            ("queue_depth".into(), Val::U64(self.queue.depth() as u64)),
+        ];
+        payload.extend(counters.map(|(name, n)| (name.to_string(), Val::U64(n))));
+        payload.extend([
+            ("retry_after_ms".into(), Val::U64(self.derived_retry_after_ms())),
+            ("queue_highwater".into(), Val::U64(self.queue.highwater() as u64)),
+            ("spans_recorded".into(), Val::U64(self.obs.spans.len() as u64)),
+            ("spans_dropped".into(), Val::U64(self.obs.spans.dropped())),
+            ("cache_hits".into(), Val::U64(self.ctx.cache_hits.load(Ordering::Relaxed))),
+            ("checkpoints".into(), Val::U64(self.ctx.checkpoints.len() as u64)),
+            // The full registry snapshot, det/wall-sectioned, as an
+            // embedded JSON document.
+            ("metrics".into(), Val::Str(metrics.to_json())),
+        ]);
+        Response::ok(id, payload)
     }
 }
 
@@ -410,26 +418,6 @@ fn monitor_loop(shared: &Arc<Shared>, events: &mpsc::Receiver<WorkerEvent>) {
     }
 }
 
-/// Pull a numeric engine counter out of an `ok` payload.
-fn payload_u64(status: &Status, name: &str) -> u64 {
-    match status {
-        Status::Ok(fields) => {
-            fields.iter().find(|(k, _)| k == name).and_then(|(_, v)| v.as_u64()).unwrap_or(0)
-        }
-        _ => 0,
-    }
-}
-
-fn payload_bool(status: &Status, name: &str) -> Option<bool> {
-    match status {
-        Status::Ok(fields) => fields.iter().find(|(k, _)| k == name).and_then(|(_, v)| match v {
-            Val::Bool(b) => Some(*b),
-            _ => None,
-        }),
-        _ => None,
-    }
-}
-
 fn worker_loop(shared: &Arc<Shared>, generation: u64) {
     while let Some(job) = shared.queue.pop() {
         let start_us = shared.obs.now_us();
@@ -484,9 +472,9 @@ fn worker_loop(shared: &Arc<Shared>, generation: u64) {
             start_us,
             end_us,
             outcome: outcome_name.to_string(),
-            packets: payload_u64(&status, "packets"),
-            cycles: payload_u64(&status, "cycles"),
-            xlate_hit: payload_bool(&status, "xlate_hit"),
+            packets: status.field("packets").and_then(Val::as_u64).unwrap_or(0),
+            cycles: status.field("cycles").and_then(Val::as_u64).unwrap_or(0),
+            xlate_hit: status.field("xlate_hit").and_then(Val::as_bool),
             killed: died,
         });
         if job.resp.send(Response { id: job.id, status }).is_err() {

@@ -1,5 +1,5 @@
 //! Simulation farm: shard a batch of independent simulations across the
-//! in-tree work-stealing pool and prove the merged report is
+//! in-tree shared-cursor pool and prove the merged report is
 //! byte-identical whatever the worker count.
 //!
 //! ```sh
