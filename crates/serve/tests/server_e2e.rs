@@ -4,7 +4,8 @@
 //! checkpoint on the cycle engine (both execute the same translated
 //! micro-ops, so the architectural digest must agree).
 
-use std::io::{BufRead, BufReader, Write};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::time::{Duration, Instant};
 
 use majc_serve::{
@@ -506,7 +507,7 @@ fn replies_to_a_closed_connection_are_all_counted_abandoned() {
 
     // The first reply after the close may still be written; the socket
     // fails on the next one, and that reply and the one after it are
-    // dropped. The writer counts them as it drains its channel, so poll.
+    // dropped. Each is counted as its job finishes, so poll.
     let deadline = Instant::now() + Duration::from_secs(60);
     let settled = |n: server::CounterSnapshot| n.ok == 3 && n.abandoned >= 2;
     while !settled(handle.counters()) {
@@ -516,4 +517,118 @@ fn replies_to_a_closed_connection_are_all_counted_abandoned() {
     handle.drain();
     assert!(settled(handle.counters()), "{:?}", handle.counters());
     handle.join();
+}
+
+/// How long the daemon waits for one reply line to reach a client before
+/// it cuts the connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A client that sends requests and never reads a reply: once the socket
+/// buffers are full, the daemon gives up on the reply it is writing
+/// within its write deadline, counts it `abandoned`, and closes the
+/// connection, while other clients are served and drain still completes.
+#[test]
+fn a_client_that_never_reads_is_cut_off_within_the_write_deadline() {
+    let handle = start(1, 4);
+    let mut hog = std::net::TcpStream::connect(handle.addr()).unwrap();
+    hog.set_write_timeout(Some(Duration::from_millis(100))).unwrap();
+
+    // Each `stats` reply is ~4 KiB. Send until the daemon stops reading
+    // (our write blocks), it cuts us off, or far more replies than the
+    // loopback buffers hold are owed.
+    let batch: String =
+        (0..256).map(|i| Request::Stats { id: format!("s{i}") }.to_line() + "\n").collect();
+    let mut sent = 0;
+    while sent < 20_000 && handle.counters().abandoned == 0 {
+        if hog.write_all(batch.as_bytes()).is_err() {
+            break;
+        }
+        sent += 256;
+    }
+    let stopped = Instant::now();
+
+    // Another client is served while the hog's reply is stuck.
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let r = c.request(&job("other", sim_kernel("fir", Engine::Func, 10_000_000))).unwrap();
+    assert_eq!(r.field("halted"), Some(&Val::Bool(true)), "{r:?}");
+
+    let deadline = stopped + WRITE_TIMEOUT + Duration::from_secs(5);
+    while handle.counters().abandoned == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "never cut off after {sent} lines: {:?}",
+            handle.counters()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The hog reads whatever replies made it into its buffers, then the
+    // end of the stream: the daemon closed the connection.
+    hog.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut buf = vec![0u8; 1 << 16];
+    loop {
+        match hog.read(&mut buf) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                panic!("the daemon kept the connection open: {e}")
+            }
+            // A reset also ends the stream: the daemon closed with our
+            // unread requests still in its buffer.
+            Err(_) => break,
+        }
+    }
+    handle.shutdown();
+}
+
+/// One connection with replies from several writers at once: two workers
+/// answer jobs while the connection thread answers `stats` and garbage.
+/// Every line must arrive whole, and every request answered exactly once.
+#[test]
+fn pipelined_replies_from_every_writer_arrive_whole() {
+    let handle = start(2, 64);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let mut pipeline = Vec::new();
+    for i in 0..64 {
+        let spec = match i % 3 {
+            0 => JobSpec::Fuzz { seed: i, budget: 2_000 },
+            1 => sim_kernel("maxsearch", Engine::Func, 1_000_000),
+            _ => JobSpec::Assemble { source: format!("setlo g1, {i}\nhalt\n") },
+        };
+        pipeline.extend(job(&format!("j{i}"), spec).to_line().into_bytes());
+        pipeline.push(b'\n');
+        if i % 4 == 0 {
+            pipeline.extend(Request::Stats { id: format!("st{i}") }.to_line().into_bytes());
+            pipeline.push(b'\n');
+        }
+        if i % 8 == 0 {
+            pipeline.extend_from_slice(b"{\"id\": not json\n");
+        }
+    }
+    c.send_raw(&pipeline).unwrap();
+
+    let (jobs, stats, garbage) = (64, 16, 8);
+    let mut seen: HashMap<String, u32> = HashMap::new();
+    for _ in 0..jobs + stats + garbage {
+        let r = c.recv().expect("every reply line parses");
+        match &r.status {
+            Status::Failed { kind, .. } if r.id.is_empty() => assert_eq!(kind, "parse"),
+            Status::Ok(_) => {}
+            other => panic!("{}: {other:?}", r.id),
+        }
+        *seen.entry(r.id).or_default() += 1;
+    }
+    assert_eq!(seen.remove(""), Some(garbage), "one parse failure per garbage line");
+    assert_eq!(seen.len(), jobs as usize + stats as usize, "{seen:?}");
+    assert!(seen.values().all(|&n| n == 1), "a request answered twice: {seen:?}");
+    for i in 0..64 {
+        assert!(seen.contains_key(&format!("j{i}")), "job j{i} never answered");
+    }
+    assert_eq!(handle.counters().abandoned, 0);
+    handle.shutdown();
 }
