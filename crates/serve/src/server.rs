@@ -4,26 +4,33 @@
 //! Thread anatomy:
 //!
 //! * **acceptor** — accepts connections until drain; each connection gets
-//!   a reader (the connection thread itself) and a writer thread fed by
-//!   an in-process channel, so worker completions and connection-thread
-//!   rejections serialize onto the socket without interleaving.
-//! * **workers** — pop jobs, execute under `catch_unwind`, send exactly
+//!   one thread that reads its request lines and answers what needs no
+//!   worker (`busy`, `draining`, `parse`, `line_too_long`, `stats`,
+//!   `shutdown`) itself.
+//! * **workers** — pop jobs, execute under `catch_unwind`, write exactly
 //!   one response per job. A panicking job (chaos kill or a genuine bug)
 //!   still answers — `worker_killed` — and only then does the thread die.
 //! * **monitor** — respawns dead workers while the server is live;
 //!   accounts worker exits during drain and ends when the last one is
 //!   gone.
 //!
+//! Every reply goes straight to the socket: whoever has it (a worker, the
+//! connection thread, or drain rejecting the backlog) writes the whole
+//! line under the connection's lock (`Conn`), so lines never
+//! interleave and nothing queues behind the socket. A client that does
+//! not take a line within [`WRITE_TIMEOUT`] is cut off.
+//!
 //! Backpressure is the client's problem by design: a full queue answers
 //! `busy {retry_after_ms}` immediately and nothing server-side blocks or
 //! buffers unboundedly.
 
-use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use majc_obs::{Class, JobSpan};
 
@@ -168,11 +175,11 @@ impl CounterSnapshot {
     }
 }
 
-/// One queued unit of work, carrying its reply channel.
+/// One queued unit of work, carrying the connection it answers on.
 struct Job {
     id: String,
     spec: JobSpec,
-    resp: mpsc::Sender<Response>,
+    conn: Arc<Conn>,
     /// Telemetry timestamp at admission (µs since server epoch).
     accept_us: u64,
     /// Queue depth observed just before this job was pushed.
@@ -208,9 +215,7 @@ impl Shared {
         }
         for job in self.queue.close() {
             self.counters.drain_rejected.fetch_add(1, Ordering::Relaxed);
-            if job.resp.send(Response::rejected(&job.id, "drained")).is_err() {
-                self.counters.abandoned.fetch_add(1, Ordering::Relaxed);
-            }
+            job.conn.reply(&Response::rejected(&job.id, "drained"), &self.counters);
         }
         // The acceptor blocks in accept(); a no-op connection unblocks it
         // so it can observe the flag and exit.
@@ -477,9 +482,7 @@ fn worker_loop(shared: &Arc<Shared>, generation: u64) {
             xlate_hit: status.field("xlate_hit").and_then(Val::as_bool),
             killed: died,
         });
-        if job.resp.send(Response { id: job.id, status }).is_err() {
-            shared.counters.abandoned.fetch_add(1, Ordering::Relaxed);
-        }
+        job.conn.reply(&Response { id: job.id, status }, &shared.counters);
         if died {
             let _ = shared.events.send(WorkerEvent::Died);
             return;
@@ -499,35 +502,84 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
+/// How long one reply line may take to reach its client. A client that
+/// has not taken a whole line by then is treated as gone: its connection
+/// is cut, so a client that stops reading can hold a worker (or a drain)
+/// for at most this long, once. Five seconds is far beyond any loopback
+/// or LAN round trip, yet short enough that a stuck client cannot pin a
+/// worker for long.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The write half of one client connection, shared by its connection
+/// thread and every job it has in the queue; `None` once the client is
+/// gone.
+struct Conn(Mutex<Option<TcpStream>>);
+
+impl Conn {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<TcpStream>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn is_open(&self) -> bool {
+        self.lock().is_some()
+    }
+
+    /// Write `resp` as one whole line within [`WRITE_TIMEOUT`]. If the
+    /// write fails or runs out of time the client is gone: the socket is
+    /// shut down and dropped, and this reply and every later one is
+    /// counted `abandoned`.
+    fn reply(&self, resp: &Response, counters: &Counters) {
+        let mut line = resp.to_line();
+        line.push('\n');
+        let mut stream = self.lock();
+        let Some(s) = stream.as_mut() else {
+            counters.abandoned.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        if write_by(s, line.as_bytes(), Instant::now() + WRITE_TIMEOUT).is_err() {
+            let _ = s.shutdown(Shutdown::Both);
+            *stream = None;
+            counters.abandoned.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Write all of `buf` before `deadline`. The socket's write timeout is
+/// reset to the time left before every `write`, so a client taking a few
+/// bytes at a time cannot stretch one line past the deadline.
+fn write_by(s: &mut TcpStream, mut buf: &[u8], deadline: Instant) -> std::io::Result<()> {
+    while !buf.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        s.set_write_timeout(Some(left))?;
+        match s.write(buf) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else { return };
-    let (tx, rx) = mpsc::channel::<Response>();
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || {
-            let mut out = BufWriter::new(write_half);
-            let mut gone = false;
-            for resp in rx {
-                // Once a write fails the client is gone: the failed reply
-                // and every later one, queued or still to come, is dropped
-                // and counted here, until the last sender hangs up.
-                gone = gone || writeln!(out, "{}", resp.to_line()).is_err() || out.flush().is_err();
-                if gone {
-                    shared.counters.abandoned.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        })
-    };
+    let conn = Arc::new(Conn(Mutex::new(Some(write_half))));
+    let reply = |resp: &Response| conn.reply(resp, &shared.counters);
 
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
-    loop {
+    // Once a reply fails, from this thread or a worker, the client is
+    // gone and the lines it left buffered are not worth answering.
+    while conn.is_open() {
         match read_line_capped(&mut reader, &mut buf) {
             ReadLine::End => break,
             ReadLine::TooLong => {
                 shared.obs.registry.counter("conn.line_too_long", Class::Det).inc();
                 let detail = format!("request lines are capped at {MAX_LINE_BYTES} bytes");
-                let _ = tx.send(Response::failed("", "line_too_long", detail));
+                reply(&Response::failed("", "line_too_long", detail));
                 continue;
             }
             ReadLine::Line => {}
@@ -539,24 +591,22 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
         let req = match Request::parse_line(line) {
             Err(e) => {
                 shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Response::failed("", "parse", e));
+                reply(&Response::failed("", "parse", e));
                 continue;
             }
             Ok(req) => req,
         };
         match req {
-            Request::Stats { id } => {
-                let _ = tx.send(shared.stats_response(&id));
-            }
+            Request::Stats { id } => reply(&shared.stats_response(&id)),
             Request::Shutdown { id } => {
-                let _ = tx.send(Response::ok(&id, vec![("draining".into(), Val::Bool(true))]));
+                reply(&Response::ok(&id, vec![("draining".into(), Val::Bool(true))]));
                 shared.drain();
             }
             Request::Job { id, spec } => {
                 let job = Job {
                     id,
                     spec,
-                    resp: tx.clone(),
+                    conn: Arc::clone(&conn),
                     accept_us: shared.obs.now_us(),
                     depth_at_accept: shared.queue.depth() as u64,
                 };
@@ -567,7 +617,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                     }
                     Err(PushErr::Full(job)) => {
                         shared.counters.busy.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Response {
+                        reply(&Response {
                             id: job.id,
                             status: Status::Busy {
                                 retry_after_ms: shared.derived_retry_after_ms(),
@@ -576,14 +626,12 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                     }
                     Err(PushErr::Closed(job)) => {
                         shared.counters.drain_rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Response::rejected(&job.id, "draining"));
+                        reply(&Response::rejected(&job.id, "draining"));
                     }
                 }
             }
         }
     }
-    drop(tx);
-    let _ = writer.join();
 }
 
 /// Longest request line a connection reads, not counting its `\n`. A

@@ -519,10 +519,6 @@ fn replies_to_a_closed_connection_are_all_counted_abandoned() {
     handle.join();
 }
 
-/// How long the daemon waits for one reply line to reach a client before
-/// it cuts the connection.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// A client that sends requests and never reads a reply: once the socket
 /// buffers are full, the daemon gives up on the reply it is writing
 /// within its write deadline, counts it `abandoned`, and closes the
@@ -552,7 +548,7 @@ fn a_client_that_never_reads_is_cut_off_within_the_write_deadline() {
     let r = c.request(&job("other", sim_kernel("fir", Engine::Func, 10_000_000))).unwrap();
     assert_eq!(r.field("halted"), Some(&Val::Bool(true)), "{r:?}");
 
-    let deadline = stopped + WRITE_TIMEOUT + Duration::from_secs(5);
+    let deadline = stopped + server::WRITE_TIMEOUT + Duration::from_secs(5);
     while handle.counters().abandoned == 0 {
         assert!(
             Instant::now() < deadline,
