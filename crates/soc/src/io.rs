@@ -1,6 +1,6 @@
 //! External interfaces (paper §3.1): the 32-bit/66 MHz PCI controller
 //! (264 MB/s), and the North/South UPA ports (64-bit at 250 MHz, 2 GB/s
-//! each, 4 GB/s combined), with the NUPA's 4 KB input FIFO.
+//! each, 4 GB/s combined).
 //!
 //! Links are modelled as serial channels with a bytes-per-CPU-cycle rate
 //! and an occupancy clock; DMA through them composes link time with the
@@ -59,54 +59,6 @@ impl Link {
     }
 }
 
-/// The NUPA 4 KB input FIFO (paper §3.1: "The NUPA block contains a 4 KB
-/// input FIFO buffer that can also be accessed by both CPUs").
-#[derive(Clone, Debug)]
-pub struct NupaFifo {
-    pub capacity: usize,
-    level: usize,
-    pub max_level: usize,
-    pub pushed: u64,
-    pub popped: u64,
-    pub overruns: u64,
-}
-
-impl NupaFifo {
-    pub fn new() -> NupaFifo {
-        NupaFifo { capacity: 4096, level: 0, max_level: 0, pushed: 0, popped: 0, overruns: 0 }
-    }
-
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Push `bytes`; returns false (and counts an overrun) if full.
-    pub fn push(&mut self, bytes: usize) -> bool {
-        if self.level + bytes > self.capacity {
-            self.overruns += 1;
-            return false;
-        }
-        self.level += bytes;
-        self.max_level = self.max_level.max(self.level);
-        self.pushed += bytes as u64;
-        true
-    }
-
-    /// Pop up to `bytes`; returns the amount actually drained.
-    pub fn pop(&mut self, bytes: usize) -> usize {
-        let n = bytes.min(self.level);
-        self.level -= n;
-        self.popped += n as u64;
-        n
-    }
-}
-
-impl Default for NupaFifo {
-    fn default() -> NupaFifo {
-        NupaFifo::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,16 +83,5 @@ mod tests {
         let t2 = l.transfer(0, 64);
         assert_eq!(t2, 32, "back-to-back transfers queue");
         assert!((l.achieved(32) - 4.0).abs() < 1e-9, "sustains peak");
-    }
-
-    #[test]
-    fn fifo_capacity_and_overrun() {
-        let mut f = NupaFifo::new();
-        assert!(f.push(4096));
-        assert!(!f.push(1), "full FIFO rejects");
-        assert_eq!(f.overruns, 1);
-        assert_eq!(f.pop(100), 100);
-        assert!(f.push(64));
-        assert_eq!(f.max_level, 4096);
     }
 }

@@ -3,19 +3,16 @@
 //! The MAJC-5200 system-on-chip (paper Figure 1): two CPUs over the
 //! shared dual-ported D-cache ([`Majc5200`]), the central crossbar
 //! ([`Crossbar`]), the DRDRAM memory controller behind it, the PCI and
-//! North/South UPA interfaces ([`io`]), the NUPA 4 KB input FIFO, and the
-//! Data Transfer Engine ([`Dte`]) doing DMA among all of them. The
-//! graphics preprocessor's pipeline model lives in `majc-gfx`; this crate
-//! provides the chip-level plumbing it rides on.
+//! North/South UPA interfaces ([`io`]), and the Data Transfer Engine
+//! ([`Dte`]) doing DMA among all of them. The graphics preprocessor's
+//! GPP→CPU pipeline model lives in `majc-gfx`.
 
 pub mod chip;
 pub mod crossbar;
 pub mod dte;
-pub mod gpp;
 pub mod io;
 
 pub use chip::{ChipMem, ChipMemStats, ChipPort, ChipState, Majc5200};
 pub use crossbar::{Crossbar, Routed, Source, SourceStats, XbarGrantRec};
 pub use dte::{DmaResult, Dte, Endpoint};
-pub use gpp::{run_scene, GppConfig, GppRun};
-pub use io::{Link, NupaFifo};
+pub use io::Link;
