@@ -7,8 +7,8 @@
 //! cache, so the model needs no protocol.
 //!
 //! Ownership is strictly tree-shaped: [`Majc5200`] owns both [`CpuCore`]s
-//! *and* the shared [`ChipMem`]; while a core steps, the chip lends it a
-//! [`ChipPort`] (`&mut ChipMem` behind the [`MemPort`] transaction trait).
+//! *and* the shared [`ChipMem`]; while a core steps, the chip lends it
+//! `&mut ChipMem`, which implements the [`MemPort`] transaction trait.
 //! The cores never hold a reference into the chip between steps, so there
 //! is no aliasing and no `NonNull` — the borrow checker proves the sharing
 //! discipline the old raw-pointer port only asserted in a comment.
@@ -139,17 +139,54 @@ impl ChipMem {
         }
     }
 
-    /// Fetch CPU `cpu`'s instruction line `line` through its own I-cache
-    /// (see [`MemPort::fetch_line`]).
-    pub fn fetch_line(&mut self, now: u64, cpu: usize, line: u32) -> (u64, Served) {
+    /// Arm the opt-in chip-level record logs (crossbar grants, DRDRAM
+    /// spans) so [`ChipMem::drain_events`] has something to harvest.
+    pub fn enable_logs(&mut self) {
+        self.xbar.log = Some(Vec::new());
+        self.xbar.dram.log = Some(Vec::new());
+    }
+
+    /// Convert and clear the armed record logs — plus every injected fault
+    /// so far — into trace events, sorted by timestamp. Call once, after
+    /// the run; merging with each CPU sink's stream gives the full
+    /// chip-level timeline.
+    pub fn drain_events(&mut self) -> Vec<Event> {
+        let mut out: Vec<Event> = Vec::new();
+        if let Some(log) = &mut self.xbar.log {
+            out.extend(std::mem::take(log).into_iter().map(|r| Event::XbarGrant {
+                src: r.src,
+                at: r.at,
+                done: r.done,
+                addr: r.addr,
+                bytes: r.bytes,
+                write: r.write,
+                nacks: r.nacks,
+            }));
+        }
+        if let Some(log) = &mut self.xbar.dram.log {
+            out.extend(std::mem::take(log).into_iter().map(Event::from_dram_span));
+        }
+        out.extend(self.fault_events_iter().map(Event::from_fault));
+        out.sort_by_key(Event::timestamp);
+        out
+    }
+}
+
+/// A stepping core borrows the whole chip as its port: plain `&mut`,
+/// proven unique by the borrow checker.
+impl MemPort for ChipMem {
+    fn mem(&mut self) -> &mut FlatMem {
+        &mut self.mem
+    }
+
+    /// Fetch CPU `cpu`'s instruction line `line` through its own I-cache.
+    fn fetch_line(&mut self, now: u64, cpu: usize, line: u32) -> (u64, Served) {
         let cpu = cpu & 1;
         let src = if cpu == 0 { Source::Cpu0I } else { Source::Cpu1I };
         self.icaches[cpu].fetch(now, line, &mut Routed { xbar: &mut self.xbar, src })
     }
 
-    /// Accept one data transaction (see [`MemPort::submit`] for the
-    /// contract).
-    pub fn submit(&mut self, now: u64, req: MemReq) -> Result<MemResp, Reject> {
+    fn submit(&mut self, now: u64, req: MemReq) -> Result<MemResp, Reject> {
         let cpu = usize::from(req.cpu) & 1;
         let write = matches!(req.kind, DKind::Store | DKind::Atomic);
         let line = self.dcache.line_addr(req.addr);
@@ -189,41 +226,9 @@ impl ChipMem {
         Ok(MemResp { completion, served })
     }
 
-    /// Arm the opt-in chip-level record logs (crossbar grants, DRDRAM
-    /// spans) so [`ChipMem::drain_events`] has something to harvest.
-    pub fn enable_logs(&mut self) {
-        self.xbar.log = Some(Vec::new());
-        self.xbar.dram.log = Some(Vec::new());
-    }
-
-    /// Convert and clear the armed record logs — plus every injected fault
-    /// so far — into trace events, sorted by timestamp. Call once, after
-    /// the run; merging with each CPU sink's stream gives the full
-    /// chip-level timeline.
-    pub fn drain_events(&mut self) -> Vec<Event> {
-        let mut out: Vec<Event> = Vec::new();
-        if let Some(log) = &mut self.xbar.log {
-            out.extend(std::mem::take(log).into_iter().map(|r| Event::XbarGrant {
-                src: r.src,
-                at: r.at,
-                done: r.done,
-                addr: r.addr,
-                bytes: r.bytes,
-                write: r.write,
-                nacks: r.nacks,
-            }));
-        }
-        if let Some(log) = &mut self.xbar.dram.log {
-            out.extend(std::mem::take(log).into_iter().map(Event::from_dram_span));
-        }
-        out.extend(self.fault_events_iter().map(Event::from_fault));
-        out.sort_by_key(Event::timestamp);
-        out
-    }
-
     /// Per-level counters as seen by `cpu`: cache numbers are per-CPU,
     /// crossbar/DRDRAM numbers are chip-wide (the channel is shared).
-    pub fn level_stats(&self, cpu: usize) -> MemLevelStats {
+    fn level_stats(&self, cpu: usize) -> MemLevelStats {
         let ic = self.icaches[cpu & 1].stats();
         MemLevelStats {
             icache_hits: ic.hits,
@@ -237,30 +242,6 @@ impl ChipMem {
             dport_conflicts: self.stats.dport_conflicts,
             ..Default::default()
         }
-    }
-}
-
-/// One CPU's borrowed view of [`ChipMem`] for the duration of a step —
-/// plain `&mut`, proven unique by the borrow checker.
-pub struct ChipPort<'a> {
-    pub chip: &'a mut ChipMem,
-}
-
-impl MemPort for ChipPort<'_> {
-    fn mem(&mut self) -> &mut FlatMem {
-        &mut self.chip.mem
-    }
-
-    fn fetch_line(&mut self, now: u64, cpu: usize, line: u32) -> (u64, Served) {
-        self.chip.fetch_line(now, cpu, line)
-    }
-
-    fn submit(&mut self, now: u64, req: MemReq) -> Result<MemResp, Reject> {
-        self.chip.submit(now, req)
-    }
-
-    fn level_stats(&self, cpu: usize) -> MemLevelStats {
-        self.chip.level_stats(cpu)
     }
 }
 
@@ -365,7 +346,7 @@ impl<S: TraceSink> Majc5200<S> {
     pub fn run(&mut self, max_packets: u64) -> Result<(u64, u64), SimError> {
         let res = self.run_inner(max_packets);
         for core in &mut self.cpu {
-            core.merge_mem_stats(&ChipPort { chip: &mut self.chip });
+            core.merge_mem_stats(&self.chip);
         }
         res?;
         Ok((self.cpu[0].stats.cycles, self.cpu[1].stats.cycles))
@@ -386,7 +367,7 @@ impl<S: TraceSink> Majc5200<S> {
             if cycle > self.max_cycles {
                 return Err(SimError::Hang { at: cycle, pcs: self.stuck_pcs() });
             }
-            self.cpu[pick].step_on(&mut ChipPort { chip: &mut self.chip })?;
+            self.cpu[pick].step_on(&mut self.chip)?;
             issued += 1;
         }
         Ok(())

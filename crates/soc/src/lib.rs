@@ -12,7 +12,7 @@ pub mod crossbar;
 pub mod dte;
 pub mod io;
 
-pub use chip::{ChipMem, ChipMemStats, ChipPort, ChipState, Majc5200};
+pub use chip::{ChipMem, ChipMemStats, ChipState, Majc5200};
 pub use crossbar::{Crossbar, Routed, Source, SourceStats, XbarGrantRec};
 pub use dte::{DmaResult, Dte, Endpoint};
 pub use io::Link;
