@@ -458,16 +458,6 @@ fn check_align(pc: u32, addr: u32, w: MemWidth) -> Result<(), Trap> {
     }
 }
 
-/// Evaluate a conditional branch's direction without side effects (used by
-/// the timing model to compare against the prediction).
-pub fn branch_taken(ins: &Instr, regs: &RegFile) -> Option<bool> {
-    match *ins {
-        Instr::Br { cond, rs, .. } => Some(cond.eval(regs.get_i32(rs))),
-        Instr::Call { .. } | Instr::Jmpl { .. } => Some(true),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,7 @@ pub use events::{
     Event, MemSink, NullSink, PacketStalls, RedirectKind, RetryReason, Served, StallReason,
     TraceSink, NUM_STALL_REASONS,
 };
-pub use exec::{branch_taken, exec_slot, Flow, MemEffect, SlotOutcome, Trap};
+pub use exec::{exec_slot, Flow, MemEffect, SlotOutcome, Trap};
 pub use func_sim::{FuncSim, FuncStats};
 pub use lsu::{Lsu, LsuStall, LsuStats};
 pub use memsys::{Backend, LocalMemSys, PerfectPort};

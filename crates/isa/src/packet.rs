@@ -71,11 +71,6 @@ impl Packet {
         let s0 = &self.slots[0];
         s0.is_control().then_some(s0)
     }
-
-    /// Whether any slot touches memory.
-    pub fn has_mem(&self) -> bool {
-        self.slots().any(|(_, i)| i.is_mem())
-    }
 }
 
 /// Marks an instruction word of [`Program`]'s dense index that does not

@@ -154,10 +154,6 @@ pub fn put_u32s(mem: &mut FlatMem, addr: u32, xs: &[u32]) {
     }
 }
 
-pub fn get_i32s(mem: &mut FlatMem, addr: u32, n: usize) -> Vec<i32> {
-    (0..n).map(|i| mem.read_u32(addr + 4 * i as u32) as i32).collect()
-}
-
 /// Standard data-region addresses used by the kernels.
 pub mod layout {
     /// Primary input array.
