@@ -142,7 +142,8 @@ pub fn table1() -> Table {
 // ------------------------------- E2 -------------------------------
 
 /// Table 2: signal processing benchmarks. The nine kernels are
-/// independent simulations, so they run as a Rayon parallel batch.
+/// independent simulations, so they run as one batch on the farm, with
+/// rows kept in kernel order.
 pub fn table2() -> Table {
     let mut t = Table::new("table2", "Signal Processing Benchmarks (per single CPU)");
     let mut rng = XorShift64::new(9);

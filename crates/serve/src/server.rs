@@ -517,6 +517,8 @@ struct Conn(Mutex<Option<TcpStream>>);
 
 impl Conn {
     fn lock(&self) -> std::sync::MutexGuard<'_, Option<TcpStream>> {
+        // Nothing panics while holding the lock, and the socket it guards
+        // stays usable (or `None`) whatever a holder did.
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
